@@ -4,7 +4,6 @@
 Usage, from the repository root:
 
     python3 perfbench/run.py --workload dev_grid --seed 1 --seconds 30 --trace 0
-    python3 perfbench/run.py --workload replay_mix --seed 1 --seconds 30 --trace 0 --rate 600
     python3 perfbench/run.py --selftest
 
 Every run first (re)builds the repository's library, the real
@@ -60,8 +59,6 @@ def main():
     parser.add_argument("--seed", type=int)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    parser.add_argument("--rate", type=float,
-                        help="override the open-loop arrival rate (jobs/s)")
     parser.add_argument("--selftest", action="store_true",
                         help="build and run the generator/statistics tests")
     args = parser.parse_args()
@@ -83,8 +80,6 @@ def main():
            "--trace", str(args.trace),
            "--server", str(BUILD_DIR / "xysig" / "example_sweep_server"),
            "--spans", str(spans)]
-    if args.rate is not None:
-        cmd += ["--rate", repr(args.rate)]
     sys.exit(run(cmd))
 
 

@@ -25,6 +25,11 @@ using xysig::server::JsonValue;
 
 /// Servers spawned to time set-up; the last one is the measured server.
 constexpr int kSetupSpawns = 31;
+/// Open loop: share of the timed phase spent in the backlog phase, and the
+/// jobs it keeps in flight. Job lines are small, so the window stays far
+/// below a pipe buffer and writing never waits on the server.
+constexpr double kBacklogShare = 0.3;
+constexpr std::size_t kBacklogWindow = 16;
 
 double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -226,6 +231,33 @@ void run_open_loop(ChildProcess& server, Conversation& conv, E2eRun& run,
         run.send_lag_s.push_back(rec.sent - rec.due);
 }
 
+/// Backlog: after the open-loop jobs, keeps kBacklogWindow jobs in flight
+/// for `seconds`, so the server, not the arrival rate, sets the pace.
+void run_backlog(const Generator& gen, double seconds, ChildProcess& server,
+                 Conversation& conv, E2eRun& run, Clock::time_point t0) {
+    const std::size_t results0 = conv.results_timed;
+    const double reader_cpu0 = usage_cpu(RUSAGE_THREAD);
+    const double start = seconds_since(t0);
+    for (;;) {
+        const bool sending = seconds_since(t0) - start < seconds;
+        while (sending && run.jobs.size() - conv.timed_done < kBacklogWindow) {
+            run.jobs.push_back(make_record(gen.job(run.jobs.size())));
+            JobRecord& rec = run.jobs.back();
+            rec.backlog = true;
+            rec.sent = seconds_since(t0);
+            rec.due = rec.sent;
+            server.write_line(rec.spec.line);
+        }
+        const std::size_t done = conv.timed_done;
+        if (done == run.jobs.size())
+            break;
+        read_until(server, conv, [&] { return conv.timed_done > done; });
+    }
+    run.backlog_wall_s = seconds_since(t0) - start;
+    run.backlog_results = conv.results_timed - results0;
+    run.backlog_reader_cpu_s = usage_cpu(RUSAGE_THREAD) - reader_cpu0;
+}
+
 } // namespace
 
 std::optional<ResultLine> scan_result(std::string_view line) {
@@ -285,7 +317,8 @@ E2eRun run_e2e(const Generator& gen, double seconds, std::size_t min_jobs,
 
     if (spec.loop == Loop::open) {
         // Generated before the clock starts, so the first due times are met.
-        for (std::size_t i = 0; static_cast<double>(i) / spec.rate_per_s < seconds; ++i) {
+        const double open_s = (1.0 - kBacklogShare) * seconds;
+        for (std::size_t i = 0; static_cast<double>(i) / spec.rate_per_s < open_s; ++i) {
             run.jobs.push_back(make_record(gen.job(i)));
             run.jobs.back().due = static_cast<double>(i) / spec.rate_per_s;
         }
@@ -296,8 +329,10 @@ E2eRun run_e2e(const Generator& gen, double seconds, std::size_t min_jobs,
     const double reader_cpu0 = usage_cpu(RUSAGE_THREAD);
     if (spec.loop == Loop::closed)
         run_closed_loop(gen, seconds, min_jobs, *server, conv, run, t0);
-    else
+    else {
         run_open_loop(*server, conv, run, t0);
+        run_backlog(gen, kBacklogShare * seconds, *server, conv, run, t0);
+    }
     for (const JobRecord& rec : run.jobs)
         run.wall_s = std::max(run.wall_s, rec.done);
     run.client_cpu_s = usage_cpu(RUSAGE_SELF) - client_cpu0;

@@ -5,7 +5,9 @@
 /// The end-to-end run: start the real sweep_server binary, drive it over
 /// its stdin/stdout pipes from this one client process, time every job
 /// from the job line (or its due time, in open loop) to its events, and
-/// collect what the output check and the metrics need.
+/// collect what the output check and the metrics need. An open-loop run
+/// ends with a backlog phase that keeps a window of jobs in flight, so the
+/// server's own completion rate is measured as well.
 
 #include <sys/resource.h>
 
@@ -35,6 +37,8 @@ struct JobRecord {
     bool started = false;        ///< job_start seen with the expected range
     std::string problem;         ///< first protocol or stream problem seen
     std::vector<std::string> check_hex; ///< ndf_hex of spec.check_members
+    /// Sent in the backlog phase: checked, but not a latency sample.
+    bool backlog = false;
 
     // job_done fields
     bool cached = false;
@@ -50,6 +54,11 @@ struct E2eRun {
     std::vector<JobRecord> jobs; ///< timed jobs, in index order
     double wall_s = 0.0;         ///< timed phase: first send to last job_done
     std::size_t results_timed = 0;
+    /// Open loop only: the backlog phase's result events, its span (first
+    /// send to last job_done) and the event reader's CPU time over it.
+    std::size_t backlog_results = 0;
+    double backlog_wall_s = 0.0;
+    double backlog_reader_cpu_s = 0.0;
     std::size_t results_total = 0; ///< every result the measured server sent
     struct rusage server_usage {};
     double client_cpu_s = 0.0; ///< this process, over the timed phase
@@ -75,7 +84,8 @@ struct ResultLine {
 [[nodiscard]] std::optional<ResultLine> scan_result(std::string_view line);
 
 /// Runs the workload for `seconds` (closed loop: until at least `min_jobs`
-/// jobs are done as well). Throws on a broken conversation (server died,
+/// jobs are done as well; open loop: the arrival-rate phase, then the
+/// backlog phase). Throws on a broken conversation (server died,
 /// timeout); per-job problems are recorded, not thrown.
 [[nodiscard]] E2eRun run_e2e(const Generator& gen, double seconds,
                              std::size_t min_jobs, const std::string& server_path);

@@ -2,7 +2,6 @@
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1
 //             --server PATH/example_sweep_server --spans PATH.json
-//             [--rate JOBS_PER_S]
 //
 // --trace 0 drives the real server binary over pipes for S seconds and
 // prints the end-to-end metrics. --trace 1 spends part of S on a shorter
@@ -10,13 +9,13 @@
 // rest on the in-process traced replay, writes its spans to --spans, and
 // prints the per-layer metrics. Either way the outputs are checked, and
 // the last stdout line is one JSON object: correct, attempted, failed,
-// metrics. --rate overrides an open-loop workload's arrival rate, to
-// find the rate at which the latency limit stops being met.
+// metrics.
 // Exit codes: 0 ok; 1 outputs wrong (the JSON line still printed); 2 usage
 // or run error; 3 the run was client-bound (invalid).
 
 #include <signal.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -44,14 +43,7 @@ int usage(const std::string& why) {
 }
 
 int run(const std::map<std::string, std::string>& args) {
-    WorkloadSpec spec = find_workload(args.at("--workload"));
-    if (args.count("--rate")) {
-        if (spec.loop != Loop::open)
-            return usage("--rate applies to open-loop workloads only");
-        spec.rate_per_s = std::stod(args.at("--rate"));
-        if (!(spec.rate_per_s > 0.0))
-            return usage("--rate must be positive");
-    }
+    const WorkloadSpec& spec = find_workload(args.at("--workload"));
     const auto seed = static_cast<std::uint64_t>(std::stoull(args.at("--seed")));
     const double seconds = std::stod(args.at("--seconds"));
     const bool trace = args.at("--trace") == "1";
@@ -71,6 +63,15 @@ int run(const std::map<std::string, std::string>& args) {
 
     const E2eRun wire = run_e2e(gen, trace ? kTracedWireShare * seconds : seconds,
                                 trace ? 0 : kMinJobsPerRun, server);
+    if (spec.loop == Loop::open) {
+        const auto backlog_jobs = std::count_if(
+            wire.jobs.begin(), wire.jobs.end(), [](const JobRecord& r) { return r.backlog; });
+        std::printf("backlog phase: %td jobs in %.3f s, %.1f jobs/s, event reader "
+                    "busy %.2f\n",
+                    backlog_jobs, wire.backlog_wall_s,
+                    static_cast<double>(backlog_jobs) / wire.backlog_wall_s,
+                    wire.backlog_reader_cpu_s / wire.backlog_wall_s);
+    }
     const Verdict verdict = check_run(spec, wire);
     for (const std::string& e : verdict.errors)
         std::fprintf(stderr, "perfbench: output check: %s\n", e.c_str());

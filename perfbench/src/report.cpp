@@ -19,25 +19,28 @@ constexpr double kMaxReaderBusy = 0.9;
 constexpr double kMaxSendLagShare = 0.25;
 
 /// A metric whose value is the median of its samples.
-Metric from_samples(std::string name, std::string unit, std::vector<double> values) {
-    Metric m{std::move(name), std::move(unit), 0.0, describe(std::move(values))};
+Metric from_samples(std::string name, std::string unit,
+                    const std::vector<double>& values) {
+    Metric m{std::move(name), std::move(unit), 0.0, describe(values)};
     m.value = m.samples->median;
     return m;
 }
 
 double latency(const JobRecord& rec) { return rec.done - rec.due; }
 
+/// Latency samples: every job but the backlog phase's.
 std::vector<double> latencies(const E2eRun& run) {
     std::vector<double> out;
     for (const JobRecord& rec : run.jobs)
-        out.push_back(latency(rec));
+        if (!rec.backlog)
+            out.push_back(latency(rec));
     return out;
 }
 
 std::vector<double> first_results(const E2eRun& run) {
     std::vector<double> out;
     for (const JobRecord& rec : run.jobs)
-        if (rec.first_result >= 0.0)
+        if (!rec.backlog && rec.first_result >= 0.0)
             out.push_back(rec.first_result - rec.due);
     return out;
 }
@@ -83,9 +86,13 @@ std::vector<Metric> end_to_end_metrics(const WorkloadSpec& spec, const E2eRun& r
                                        const Verdict& verdict) {
     std::vector<Metric> out;
     out.push_back(from_samples("setup_s", "s", run.setup_s));
+    // In open loop the arrival rate fixes the rate of the paced phase, so
+    // the server's own rate is taken from the backlog phase.
+    const bool open = spec.loop == Loop::open;
+    const std::size_t members = open ? run.backlog_results : run.results_timed;
     out.push_back({"members_per_s", "1/s",
-                   static_cast<double>(run.results_timed) / run.wall_s, std::nullopt,
-                   run.results_timed});
+                   static_cast<double>(members) / (open ? run.backlog_wall_s : run.wall_s),
+                   std::nullopt, members});
 
     const std::vector<double> lat = latencies(run);
     out.push_back(from_samples("job_latency_p50_s", "s", lat));
@@ -110,11 +117,11 @@ std::vector<Metric> end_to_end_metrics(const WorkloadSpec& spec, const E2eRun& r
 
     std::size_t on_time = 0;
     for (std::size_t j = 0; j < run.jobs.size(); ++j)
-        if (!verdict.job_failed[j] && latency(run.jobs[j]) <= spec.latency_limit_s)
+        if (!run.jobs[j].backlog && !verdict.job_failed[j] &&
+            latency(run.jobs[j]) <= spec.latency_limit_s)
             ++on_time;
     out.push_back({"on_time_frac", "frac",
-                   static_cast<double>(on_time) /
-                       static_cast<double>(verdict.attempted),
+                   static_cast<double>(on_time) / static_cast<double>(lat.size()),
                    std::nullopt});
     out.push_back({"failed_frac", "frac",
                    static_cast<double>(verdict.failed) /
@@ -129,6 +136,10 @@ std::string invalid_reason(const WorkloadSpec& spec, const E2eRun& run) {
         return "the client's event reader was busy " + std::to_string(reader_busy) +
                " of the timed phase";
     if (spec.loop == Loop::open) {
+        const double backlog_busy = run.backlog_reader_cpu_s / run.backlog_wall_s;
+        if (backlog_busy >= kMaxReaderBusy)
+            return "the client's event reader was busy " +
+                   std::to_string(backlog_busy) + " of the backlog phase";
         const Distribution lag = describe(run.send_lag_s);
         const double worst = lag.p90.value_or(lag.q3);
         if (worst > kMaxSendLagShare * spec.latency_limit_s)
@@ -164,10 +175,13 @@ std::vector<Metric> per_layer_metrics(const E2eRun& run, const TracedRun& traced
     traced_value("server.sweep_members_per_s", "1/s");
     traced_value("server.session_members_per_s", "1/s");
 
-    // Server-reported job accounting from the untraced wire run.
+    // Server-reported job accounting from the untraced wire run, backlog
+    // phase left out.
     std::vector<double> queue, service, transport, imbalance, shard_share;
     double busy = 0.0, capacity = 0.0;
     for (const JobRecord& rec : run.jobs) {
+        if (rec.backlog)
+            continue;
         queue.push_back(rec.queue_s);
         service.push_back(rec.service_s);
         transport.push_back(latency(rec) - rec.queue_s - rec.service_s);

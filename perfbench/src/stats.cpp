@@ -1,22 +1,10 @@
 #include "stats.h"
 
-#include <algorithm>
 #include <cmath>
-#include <stdexcept>
+
+#include "common/statistics.h"
 
 namespace perfbench {
-
-double quantile_sorted(const std::vector<double>& sorted, double q) {
-    if (sorted.empty())
-        throw std::invalid_argument("quantile of an empty sample");
-    if (!(q >= 0.0 && q <= 1.0))
-        throw std::invalid_argument("quantile outside [0, 1]");
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(pos));
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
 
 std::size_t samples_beyond(std::size_t n, double q) {
     if (n == 0)
@@ -26,24 +14,22 @@ std::size_t samples_beyond(std::size_t n, double q) {
     return n - 1 - lo;
 }
 
-Distribution describe(std::vector<double> values) {
+Distribution describe(const std::vector<double>& values) {
     Distribution d;
     d.count = values.size();
     if (values.empty())
         return d;
-    std::sort(values.begin(), values.end());
-    d.median = quantile_sorted(values, 0.5);
-    d.q1 = quantile_sorted(values, 0.25);
-    d.q3 = quantile_sorted(values, 0.75);
+    d.median = xysig::percentile(values, 50.0);
+    d.q1 = xysig::percentile(values, 25.0);
+    d.q3 = xysig::percentile(values, 75.0);
     d.beyond_p90 = samples_beyond(values.size(), 0.9);
     if (d.beyond_p90 >= kMinSamplesBeyond)
-        d.p90 = quantile_sorted(values, 0.9);
+        d.p90 = xysig::percentile(values, 90.0);
     return d;
 }
 
-double median(std::vector<double> values) {
-    std::sort(values.begin(), values.end());
-    return quantile_sorted(values, 0.5);
+double median(const std::vector<double>& values) {
+    return xysig::percentile(values, 50.0);
 }
 
 } // namespace perfbench

@@ -2,10 +2,11 @@
 #define PERFBENCH_STATS_H
 
 /// \file stats.h
-/// Order statistics for benchmark samples: median and quartiles by linear
-/// interpolation between closest ranks, and a tail percentile that is only
-/// reported when enough samples lie beyond it to make it a measurement
-/// rather than one unlucky sample.
+/// Order statistics for benchmark samples: median and quartiles from
+/// xysig::percentile (linear interpolation between closest ranks, at rank
+/// p * (n - 1)), and a tail percentile that is only reported when enough
+/// samples lie beyond it to make it a measurement rather than one unlucky
+/// sample.
 
 #include <cstddef>
 #include <optional>
@@ -16,10 +17,6 @@ namespace perfbench {
 /// A tail percentile is reported only with at least this many samples
 /// strictly beyond its interpolation position.
 inline constexpr std::size_t kMinSamplesBeyond = 10;
-
-/// Quantile q in [0, 1] of an ascending, non-empty sample, interpolated
-/// linearly between the two closest ranks (position q * (n - 1)).
-[[nodiscard]] double quantile_sorted(const std::vector<double>& sorted, double q);
 
 /// Number of samples strictly beyond the q quantile's position in a sample
 /// of n: n - 1 - floor(q * (n - 1)).
@@ -38,10 +35,10 @@ struct Distribution {
 };
 
 /// Describes a sample (any order). An empty sample gives count 0.
-[[nodiscard]] Distribution describe(std::vector<double> values);
+[[nodiscard]] Distribution describe(const std::vector<double>& values);
 
-/// Median of a sample (any order, non-empty).
-[[nodiscard]] double median(std::vector<double> values);
+/// Median of a sample (any order, non-empty; an empty one throws).
+[[nodiscard]] double median(const std::vector<double>& values);
 
 } // namespace perfbench
 

@@ -43,7 +43,7 @@ const std::vector<WorkloadSpec> kWorkloads = {
     // name, --spp, loop, rate_per_s, latency_limit_s, checks_per_job
     {"dev_grid", 2048, Loop::closed, 0.0, 1.0, 2},
     {"spice_faults", 1024, Loop::closed, 0.0, 1.0, 1},
-    {"replay_mix", 2048, Loop::open, 200.0, 0.05, 1},
+    {"replay_mix", 2048, Loop::open, 200.0, 0.02, 1},
 };
 
 /// prefix + decimal n (spelled out: GCC 12 warns falsely on the
