@@ -29,7 +29,6 @@
 // Flags: --workers=N --shard-size=N --spp=N (pipeline samples per period)
 //        --queue=N (max queued jobs before submit blocks)
 //        --job-cache=N (whole-job result cache entries; 0 disables)
-//        --no-prefetch (disable golden prefetch for queued jobs)
 //        --heartbeat=SECONDS (emit v3 heartbeat events; 0 = off)
 //        --listen=PORT (serve TCP connections instead of stdin; 0 picks
 //        an ephemeral port, announced on stdout)
@@ -37,9 +36,15 @@
 //        --share-service (one worker pool shared by every connection)
 //        --check (schema-validate stdin lines, exit non-zero on the first
 //        invalid one)
+// An unknown flag or an out-of-range value exits 2 before anything runs.
 
+#include <charconv>
 #include <iostream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "server/json.h"
 #include "server/tcp_transport.h"
@@ -72,6 +77,28 @@ int run_check_mode() {
     return 0;
 }
 
+/// A command-line value main() rejects with exit code 2.
+struct BadFlag : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+/// The value of a numeric `--name=text` flag: the whole text must parse as
+/// a T in [lo, hi]. Unsigned flags reject a sign, so "-1" cannot wrap.
+template <typename T>
+T flag_value(std::string_view name, std::string_view text, T lo, T hi) {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || stop != end ||
+        !(value >= lo && value <= hi)) {
+        std::ostringstream msg;
+        msg << "invalid value for " << name << ": '" << text
+            << "' (want a number in [" << lo << ", " << hi << "])";
+        throw BadFlag(msg.str());
+    }
+    return value;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -84,35 +111,44 @@ int main(int argc, char** argv) {
     unsigned short listen_port = 0;
     std::string bind_address = "0.0.0.0";
     bool share_service = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--workers=", 0) == 0)
-            workers = static_cast<unsigned>(std::stoul(arg.substr(10)));
-        else if (arg.rfind("--shard-size=", 0) == 0)
-            shard_size = std::stoul(arg.substr(13));
-        else if (arg.rfind("--spp=", 0) == 0)
-            samples_per_period = std::stoul(arg.substr(6));
-        else if (arg.rfind("--queue=", 0) == 0)
-            session_opts.max_pending = std::stoul(arg.substr(8));
-        else if (arg.rfind("--job-cache=", 0) == 0)
-            session_opts.cache_capacity = std::stoul(arg.substr(12));
-        else if (arg == "--no-prefetch")
-            session_opts.prefetch_goldens = false;
-        else if (arg.rfind("--heartbeat=", 0) == 0)
-            session_opts.heartbeat_seconds = std::stod(arg.substr(12));
-        else if (arg.rfind("--listen=", 0) == 0) {
-            listen = true;
-            listen_port = static_cast<unsigned short>(std::stoul(arg.substr(9)));
-        } else if (arg.rfind("--bind=", 0) == 0)
-            bind_address = arg.substr(7);
-        else if (arg == "--share-service")
-            share_service = true;
-        else if (arg == "--check")
-            check = true;
-        else {
-            std::cerr << "unknown flag: " << arg << "\n";
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string_view arg = argv[i];
+            const std::size_t eq = arg.find('=');
+            const std::string_view flag = arg.substr(0, eq);
+            const std::string_view text =
+                eq == std::string_view::npos ? std::string_view() : arg.substr(eq + 1);
+            if (flag == "--workers")
+                workers = flag_value(flag, text, 0u, 1024u);
+            else if (flag == "--shard-size")
+                shard_size = flag_value<std::size_t>(flag, text, 1, 1u << 24);
+            else if (flag == "--spp")
+                samples_per_period =
+                    flag_value<std::size_t>(flag, text, 64, 1u << 20);
+            else if (flag == "--queue")
+                session_opts.max_pending =
+                    flag_value<std::size_t>(flag, text, 1, 1u << 20);
+            else if (flag == "--job-cache")
+                session_opts.cache_capacity =
+                    flag_value<std::size_t>(flag, text, 0, 1u << 20);
+            else if (flag == "--heartbeat")
+                session_opts.heartbeat_seconds =
+                    flag_value(flag, text, 0.0, 86400.0);
+            else if (flag == "--listen") {
+                listen = true;
+                listen_port = flag_value<unsigned short>(flag, text, 0, 65535);
+            } else if (flag == "--bind" && eq != std::string_view::npos)
+                bind_address = std::string(text);
+            else if (arg == "--share-service")
+                share_service = true;
+            else if (arg == "--check")
+                check = true;
+            else
+                throw BadFlag("unknown flag: " + std::string(arg));
         }
+    } catch (const BadFlag& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
     }
     if (check)
         return run_check_mode();

@@ -4,7 +4,7 @@
 
 #include "common/contracts.h"
 #include "common/rng.h"
-#include "common/strings.h"
+#include "core/fingerprint.h"
 #include "core/golden_cache.h"
 #include "core/trace_cache.h"
 
@@ -78,31 +78,11 @@ std::string SignaturePipeline::golden_cache_key(const filter::Cut& cut) const {
     const std::string bank_fp = bank_.fingerprint();
     if (bank_fp.empty())
         return {};
-    // Built with discrete appends: the `"x" + std::string&&` concat chain
-    // trips GCC's -Wrestrict false positive at -O3 once inlined, and the
-    // hardening lane builds with -Werror.
     std::string key = "cut{";
     key += cut_key;
-    key += "}|bank{";
-    key += bank_fp;
-    key += "}|stim{";
-    key += format_double_exact(stimulus_.offset());
-    for (const Tone& tone : stimulus_.tones()) {
-        key += ';';
-        key += format_double_exact(tone.amplitude);
-        key += ',';
-        key += format_double_exact(tone.frequency_hz);
-        key += ',';
-        key += format_double_exact(tone.phase_rad);
-    }
-    key += "}|spp=" + std::to_string(options_.samples_per_period);
-    key += "|ck=";
-    key += options_.compiled_kernels ? '1' : '0';
-    // Goldens from different sampling modes differ within the fast-math
-    // ULP tolerance and must never alias (signatures are only comparable
-    // within one mode).
-    key += "|fm=";
-    key += options_.fast_math ? '1' : '0';
+    key += "}|";
+    key += setup_fingerprint(bank_fp, stimulus_, options_.samples_per_period,
+                             options_.compiled_kernels, options_.fast_math);
     return key;
 }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/contracts.h"
-#include "common/strings.h"
+#include "core/fingerprint.h"
 
 namespace xysig::server {
 
@@ -15,28 +15,9 @@ std::string pipeline_fingerprint(const core::SignaturePipeline& pipe) {
     // xylint: exact-compare(sigma=0 is the exact no-noise switch; any other value disables caching)
     if (opts.noise_sigma != 0.0 || opts.quantise)
         return {}; // noise draws / capture options are not in the key scheme
-    // Discrete appends, not a `"x" + std::string&&` chain: that pattern hits
-    // GCC's -Wrestrict false positive at -O3 under the -Werror hardening lane.
-    std::string fp = "bank{";
-    fp += bank_fp;
-    fp += "}|stim{";
-    fp += format_double_exact(pipe.stimulus().offset());
-    for (const Tone& tone : pipe.stimulus().tones()) {
-        fp += ';';
-        fp += format_double_exact(tone.amplitude);
-        fp += ',';
-        fp += format_double_exact(tone.frequency_hz);
-        fp += ',';
-        fp += format_double_exact(tone.phase_rad);
-    }
-    fp += "}|spp=" + std::to_string(opts.samples_per_period);
-    fp += "|ck=";
-    fp += opts.compiled_kernels ? '1' : '0';
-    // Results from different sampling modes differ within the fast-math
-    // ULP tolerance; they must never be served for each other.
-    fp += "|fm=";
-    fp += opts.fast_math ? '1' : '0';
-    return fp;
+    return core::setup_fingerprint(bank_fp, pipe.stimulus(),
+                                   opts.samples_per_period,
+                                   opts.compiled_kernels, opts.fast_math);
 }
 
 JobResultCache::JobResultCache(std::size_t capacity)

@@ -2,24 +2,25 @@
 #define XYSIG_SERVER_JOB_CACHE_H
 
 /// \file job_cache.h
-/// Content-addressed whole-job result cache for the scheduler: the
-/// core::GoldenSignatureCache exact-hexfloat fingerprint scheme generalised
-/// from one golden chronogram to an entire job's result stream.
+/// Content-addressed whole-job result cache for the scheduler: the exact
+/// setup fingerprint of core/fingerprint.h, extended from one golden
+/// chronogram to an entire job's result stream.
 ///
 /// A cache key is `pipeline_fingerprint(pipe) + "job{" + universe_key + "}"`
 /// — every float that feeds the evaluation appears in exact hexfloat form
-/// (bank fingerprint, stimulus tones, samples_per_period, kernel flag,
-/// deviation values / fault-universe options), so a hit is bit-identical to
-/// recomputation by construction. The member RANGE is deliberately not part
+/// (the setup fingerprint plus deviation values / fault-universe options),
+/// so a hit is bit-identical to recomputation by construction. The member RANGE is deliberately not part
 /// of the key: entries store results under GLOBAL member ids, and a lookup
 /// for [first, first+count) is served by any entry whose stored range covers
 /// it — a fan-out slice of a previously completed full job streams from the
 /// cache without touching a worker.
 ///
-/// LRU-bounded like the golden cache: a long-lived multi-tenant server sees
-/// an unbounded stream of distinct jobs, so entries beyond capacity() are
-/// evicted least-recently-used. Thread-safe; shared_ptr payloads keep
-/// results alive for streams still draining an evicted entry.
+/// LRU-bounded like core::ExactKeyLru, but not one: entries are member
+/// ranges (several per key) served by a covering lookup. A long-lived
+/// multi-tenant server sees an unbounded stream of distinct jobs, so
+/// entries beyond capacity() are evicted least-recently-used. Thread-safe;
+/// shared_ptr payloads keep results alive for streams still draining an
+/// evicted entry.
 
 #include <cstddef>
 #include <list>
@@ -35,11 +36,10 @@
 
 namespace xysig::server {
 
-/// Exact fingerprint of everything a pipeline contributes to result bits:
-/// bank fingerprint, stimulus (offset + tones, hexfloat), samples per
-/// period, compiled-kernel flag. Empty when the pipeline is not exactly
-/// fingerprintable (custom bank monitor, noise, quantisation) — an empty
-/// fingerprint disables job caching for that pipeline, it never aliases.
+/// core::setup_fingerprint of the pipeline: everything it contributes to
+/// result bits. Empty when the pipeline is not exactly fingerprintable
+/// (custom bank monitor, noise, quantisation) — an empty fingerprint
+/// disables job caching for that pipeline, it never aliases.
 [[nodiscard]] std::string
 pipeline_fingerprint(const core::SignaturePipeline& pipe);
 

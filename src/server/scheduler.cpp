@@ -6,8 +6,6 @@
 
 #include "common/contracts.h"
 #include "common/strings.h"
-#include "core/paper_setup.h"
-#include "filter/cut.h"
 
 namespace xysig::server {
 
@@ -105,16 +103,7 @@ JobScheduler::JobScheduler(SweepService& service, Options options)
                        ? std::string()
                        : pipeline_fingerprint(service.pipeline())),
       base_fast_math_(service.pipeline().options().fast_math) {
-    // The prefetch pipeline is copied BEFORE any job runs: set_golden
-    // mutates the service pipeline per job, and copying a pipeline that a
-    // worker is mutating would race. A construction-time copy shares the
-    // exact bank/stimulus/options, so its golden-cache keys are identical
-    // to the service's — that identity is what makes prefetch hits
-    // bit-identical.
-    if (options_.prefetch_goldens)
-        prefetch_pipeline_.emplace(service_.pipeline());
     dispatcher_thread_ = std::thread([this] { dispatcher_main(); });
-    prefetch_thread_ = std::thread([this] { prefetch_main(); });
 }
 
 JobScheduler::~JobScheduler() {
@@ -135,7 +124,6 @@ JobScheduler::~JobScheduler() {
             }
         }
         queues_.clear();
-        prefetch_queue_.clear();
         pending_ = 0;
         if (running_ != nullptr)
             running_->token.cancel();
@@ -143,7 +131,6 @@ JobScheduler::~JobScheduler() {
         space_cv_.notify_all();
     }
     dispatcher_thread_.join();
-    prefetch_thread_.join();
 }
 
 std::string JobScheduler::job_cache_key(const WireJob& wire) const {
@@ -220,8 +207,6 @@ JobHandle JobScheduler::submit(WireJob wire, SubmitOptions opts) {
                                   });
     queue.insert(pos, rec);
     ++pending_;
-    if (prefetch_pipeline_.has_value() && !rec->wire.is_spice)
-        prefetch_queue_.push_back(rec);
     dispatch_cv_.notify_all();
     return JobHandle(rec);
 }
@@ -499,41 +484,6 @@ void JobScheduler::serve_from_cache(const RecordPtr& rec,
     rec->out.state = JobState::done;
     rec->closed = true;
     rec->cv.notify_all();
-}
-
-void JobScheduler::prefetch_main() {
-    while (true) {
-        RecordPtr rec;
-        {
-            MutexLock lock(mutex_);
-            dispatch_cv_.wait(lock, [&]() REQUIRES(mutex_) {
-                return stopping_ || !prefetch_queue_.empty();
-            });
-            if (stopping_)
-                return;
-            rec = prefetch_queue_.front();
-            prefetch_queue_.pop_front();
-        }
-        // Behavioural jobs share the paper-nominal golden; warming it
-        // through the private pipeline copy inserts the exact key the
-        // service's own set_golden will look up — overlap with zero effect
-        // on result bits. (SPICE goldens have no cache key, so there is
-        // nothing to warm; those records are filtered at submit.)
-        try {
-            // Match the job's effective sampling mode first: golden-cache
-            // keys embed the fast_math flag, so warming under the wrong
-            // mode would insert a key nobody looks up.
-            prefetch_pipeline_->set_fast_math(
-                rec->wire.job.fast_math.value_or(base_fast_math_));
-            prefetch_pipeline_->set_golden(
-                filter::BehaviouralCut(core::paper_biquad()));
-            MutexLock lock(mutex_);
-            ++stats_.goldens_prefetched;
-        } catch (const std::exception&) {
-            // A golden the prefetcher cannot compute is the dispatcher's
-            // problem to report; prefetch is best-effort by design.
-        }
-    }
 }
 
 } // namespace xysig::server

@@ -6,19 +6,13 @@
 /// turns the blocking one-job-at-a-time `run()` call into a submit API.
 ///
 ///  * submit() returns immediately with a JobHandle; job N+1 is accepted
-///    (and queued, prefetched, or served from cache) while job N is still
+///    (and queued or served from cache) while job N is still
 ///    draining — per-job result queues decouple producers from consumers.
 ///  * Dispatch order is priority-descending, then fair-share round-robin
 ///    across client ids (the least-recently-served client wins a tie), then
 ///    FIFO within a client — a flood from one client cannot starve another
 ///    at equal priority, and a high-priority job can never be passed over
 ///    in favour of a lower-priority one (no priority inversion).
-///  * Golden-signature computation for queued behavioural jobs overlaps the
-///    current drain: a prefetch thread warms the process-wide
-///    core::GoldenSignatureCache through a private pipeline copy, so the
-///    service's own set_golden hits the cache (bit-identically — the cache
-///    key scheme guarantees it) instead of paying the golden on the
-///    critical path.
 ///  * A content-addressed JobResultCache (see job_cache.h) short-circuits
 ///    whole jobs: an exact resubmit — or a member-range slice covered by a
 ///    cached superset — streams results without touching a worker.
@@ -36,7 +30,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,7 +110,7 @@ private:
     std::shared_ptr<Record> record_;
 };
 
-/// The scheduler. Owns the dispatcher and prefetch threads and the job
+/// The scheduler. Owns the dispatcher thread and the job
 /// cache; borrows the SweepService (whose run() it is the only caller of).
 class JobScheduler {
 public:
@@ -127,8 +120,6 @@ public:
         std::size_t max_pending = 1024;
         /// Whole-job result cache entries; 0 disables job caching.
         std::size_t cache_capacity = JobResultCache::kDefaultCapacity;
-        /// Warm the golden cache for queued jobs on a prefetch thread.
-        bool prefetch_goldens = true;
     };
 
     struct SubmitOptions {
@@ -143,7 +134,6 @@ public:
         std::uint64_t failed = 0;
         std::uint64_t cancelled = 0;
         std::uint64_t cache_hits = 0; ///< jobs served without a worker
-        std::uint64_t goldens_prefetched = 0;
         std::size_t queue_depth = 0; ///< currently queued (excl. running)
     };
 
@@ -187,7 +177,6 @@ private:
     using RecordPtr = std::shared_ptr<JobHandle::Record>;
 
     void dispatcher_main() EXCLUDES(mutex_);
-    void prefetch_main() EXCLUDES(mutex_);
     void execute(const RecordPtr& rec) EXCLUDES(mutex_);
     void serve_from_cache(const RecordPtr& rec,
                           const JobResultCache::Hit& hit);
@@ -201,15 +190,11 @@ private:
     SweepService& service_;
     Options options_;
     JobResultCache cache_;
-    /// Private pipeline copy made at construction (before any job mutates
-    /// the service pipeline's golden) — the prefetch thread's workbench.
-    std::optional<core::SignaturePipeline> prefetch_pipeline_;
     std::string pipeline_fp_; ///< empty = job caching off for this pipeline
     /// The service pipeline's fast_math flag at construction: the mode a
     /// job that does not pin one (SweepJob::fast_math == nullopt) runs
     /// under. Folded into job_cache_key so per-job pinned modes never
-    /// alias, and applied to the prefetch pipeline so warmed goldens land
-    /// under the key the job will actually look up.
+    /// alias.
     bool base_fast_math_ = false;
 
     mutable Mutex mutex_; ///< queue + stats state below
@@ -218,7 +203,6 @@ private:
     /// Per-client queues, each kept sorted (priority desc, submit order).
     std::map<std::string, std::deque<RecordPtr>> queues_ GUARDED_BY(mutex_);
     std::map<std::string, std::uint64_t> last_served_ GUARDED_BY(mutex_);
-    std::deque<RecordPtr> prefetch_queue_ GUARDED_BY(mutex_);
     RecordPtr running_ GUARDED_BY(mutex_);
     std::size_t pending_ GUARDED_BY(mutex_) = 0;
     bool paused_ GUARDED_BY(mutex_) = false;
@@ -228,7 +212,6 @@ private:
     std::uint64_t run_counter_ GUARDED_BY(mutex_) = 1;
     Stats stats_ GUARDED_BY(mutex_);
 
-    std::thread prefetch_thread_;
     std::thread dispatcher_thread_;
 };
 

@@ -10,6 +10,7 @@
 
 #include "common/strings.h"
 #include "core/golden_cache.h"
+#include "core/trace_cache.h"
 #include "core/paper_setup.h"
 #include "filter/tow_thomas.h"
 #include "monitor/table1.h"
@@ -32,6 +33,19 @@ namespace {
 [[nodiscard]] std::size_t index_or(const JsonValue& obj, const char* key,
                                    std::size_t fallback) {
     return obj.has(key) ? index_field(obj.at(key), key) : fallback;
+}
+
+/// The counters a `stats` event reports for each cache (golden, trace,
+/// whole-job): every cache exposes the same five.
+template <typename Cache>
+[[nodiscard]] JsonValue::Object cache_counters(const Cache& cache) {
+    JsonValue::Object o;
+    o.emplace("hits", cache.hits());
+    o.emplace("misses", cache.misses());
+    o.emplace("size", cache.size());
+    o.emplace("evictions", cache.evictions());
+    o.emplace("capacity", cache.capacity());
+    return o;
 }
 
 } // namespace
@@ -346,7 +360,8 @@ void check_event(const JsonValue& v) {
                       {"golden_cache", FieldKind::object, true},
                       // Version-2 additions.
                       {"scheduler", FieldKind::object, false},
-                      {"job_cache", FieldKind::object, false}});
+                      {"job_cache", FieldKind::object, false},
+                      {"trace_cache", FieldKind::object, false}});
     } else if (event == "error") {
         check_fields(v, "error event",
                      {id_opt, {"message", FieldKind::string, true}});
@@ -413,7 +428,6 @@ ServerSession::ServerSession(SweepService& service, LineSink sink,
     JobScheduler::Options sched;
     sched.max_pending = options.max_pending;
     sched.cache_capacity = options.cache_capacity;
-    sched.prefetch_goldens = options.prefetch_goldens;
     scheduler_ = std::make_unique<JobScheduler>(service_, sched);
     if (options.heartbeat_seconds > 0.0) {
         // Liveness beacon (protocol v3): one line every interval, whether
@@ -758,13 +772,6 @@ void ServerSession::emit_job_events(JobHandle handle) {
 
 void ServerSession::emit_stats() {
     const auto stats = service_.stats();
-    const auto& cache = core::GoldenSignatureCache::instance();
-    JsonValue::Object cache_obj;
-    cache_obj.emplace("hits", cache.hits());
-    cache_obj.emplace("misses", cache.misses());
-    cache_obj.emplace("size", cache.size());
-    cache_obj.emplace("evictions", cache.evictions());
-    cache_obj.emplace("capacity", cache.capacity());
     const JobScheduler::Stats sched = scheduler_->stats();
     JsonValue::Object sched_obj;
     sched_obj.emplace("submitted", sched.submitted);
@@ -772,15 +779,7 @@ void ServerSession::emit_stats() {
     sched_obj.emplace("failed", sched.failed);
     sched_obj.emplace("cancelled", sched.cancelled);
     sched_obj.emplace("cache_hits", sched.cache_hits);
-    sched_obj.emplace("goldens_prefetched", sched.goldens_prefetched);
     sched_obj.emplace("queue_depth", sched.queue_depth);
-    const JobResultCache& job_cache = scheduler_->cache();
-    JsonValue::Object jc_obj;
-    jc_obj.emplace("hits", job_cache.hits());
-    jc_obj.emplace("misses", job_cache.misses());
-    jc_obj.emplace("size", job_cache.size());
-    jc_obj.emplace("evictions", job_cache.evictions());
-    jc_obj.emplace("capacity", job_cache.capacity());
     JsonValue::Object o;
     o.emplace("event", "stats");
     o.emplace("jobs", stats.jobs);
@@ -788,9 +787,12 @@ void ServerSession::emit_stats() {
     o.emplace("shards", stats.shards);
     o.emplace("netlist_clones", stats.netlist_clones);
     o.emplace("workers", static_cast<std::size_t>(service_.worker_count()));
-    o.emplace("golden_cache", std::move(cache_obj));
+    o.emplace("golden_cache",
+              cache_counters(core::GoldenSignatureCache::instance()));
+    o.emplace("trace_cache",
+              cache_counters(core::StimulusTraceCache::instance()));
     o.emplace("scheduler", std::move(sched_obj));
-    o.emplace("job_cache", std::move(jc_obj));
+    o.emplace("job_cache", cache_counters(scheduler_->cache()));
     emit(o);
 }
 

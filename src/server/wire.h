@@ -144,7 +144,6 @@ void check_protocol_line(const std::string& line);
 struct SessionOptions {
     std::size_t max_pending = 1024; ///< queued-job bound (submit backpressure)
     std::size_t cache_capacity = 64; ///< whole-job cache entries; 0 = off
-    bool prefetch_goldens = true;
     /// Emit a `heartbeat` event every this-many seconds (0 = off). The
     /// liveness signal for coordinators with inactivity timeouts: a busy
     /// worker whose results are slow still proves it is alive between

@@ -36,15 +36,11 @@ namespace {
 using core::StimulusTraceCache;
 
 /// Every test starts from an empty cache with zeroed counters so the
-/// misses() probe counts only its own samplings; capacity is restored in
-/// case an LRU test shrank it.
+/// misses() probe counts only its own samplings. (The LRU mechanics are
+/// tested once for every cached type in test_exact_key_lru.cpp.)
 class TraceCacheTest : public ::testing::Test {
 protected:
-    void SetUp() override {
-        StimulusTraceCache::instance().set_capacity(
-            StimulusTraceCache::kDefaultCapacity);
-        StimulusTraceCache::instance().clear();
-    }
+    void SetUp() override { StimulusTraceCache::instance().clear(); }
 };
 
 core::SignaturePipeline make_pipeline(bool fast_math = false,
@@ -229,47 +225,6 @@ TEST_F(TraceCacheTest, SweepServiceWorkersShareOneTrace) {
     ASSERT_EQ(streamed.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i)
         ASSERT_EQ(streamed[i], reference[i]) << "member " << i;
-}
-
-TEST_F(TraceCacheTest, LruEvictionAndSharedPtrKeepAlive) {
-    auto& cache = StimulusTraceCache::instance();
-    cache.set_capacity(2);
-    EXPECT_EQ(cache.capacity(), 2u);
-
-    const auto make = [](double v) {
-        return [v] { return std::vector<double>(8, v); };
-    };
-    const auto first = cache.find_or_compute("k1", make(1.0));
-    (void)cache.find_or_compute("k2", make(2.0));
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 0u);
-
-    // Third key evicts the LRU entry (k1) — but the returned shared_ptr
-    // keeps the evicted trace alive and intact for existing holders.
-    (void)cache.find_or_compute("k3", make(3.0));
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 1u);
-    ASSERT_EQ(first->size(), 8u);
-    EXPECT_EQ((*first)[0], 1.0);
-
-    // Re-fetching the evicted key is a genuine recompute (a miss).
-    const std::size_t misses_before = cache.misses();
-    (void)cache.find_or_compute("k1", make(1.0));
-    EXPECT_EQ(cache.misses(), misses_before + 1);
-
-    // Touching k2 refreshes its recency: the next insert evicts k1 again,
-    // not k2.
-    (void)cache.find_or_compute("k2", make(2.0));
-    (void)cache.find_or_compute("k4", make(4.0));
-    const std::size_t misses_k2 = cache.misses();
-    (void)cache.find_or_compute("k2", make(2.0));
-    EXPECT_EQ(cache.misses(), misses_k2) << "k2 should have survived";
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.misses(), 0u);
-    EXPECT_EQ(cache.hits(), 0u);
-    cache.set_capacity(StimulusTraceCache::kDefaultCapacity);
 }
 
 } // namespace

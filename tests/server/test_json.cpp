@@ -247,6 +247,12 @@ TEST(Wire, CheckProtocolLineAcceptsTheSchemaAndRejectsDrift) {
     // Events, including null NDFs (NaN members).
     EXPECT_NO_THROW(check_protocol_line(
         R"x({"event":"result","member":3,"ndf":null,"ndf_hex":"nan","label":"open(R1)"})x"));
+    const std::string stats_head =
+        R"({"event":"stats","jobs":1,"members":2,"shards":1,"netlist_clones":0,"workers":2,"golden_cache":{"hits":1})";
+    EXPECT_NO_THROW(check_protocol_line(
+        stats_head + R"(,"trace_cache":{"hits":3,"misses":1}})"));
+    EXPECT_THROW(check_protocol_line(stats_head + R"(,"trace_cache":4})"),
+                 InvalidInput); // trace_cache must be an object
     // Unknown events / commands, missing required fields, wrong types.
     EXPECT_THROW(check_protocol_line(R"({"event":"nope"})"), InvalidInput);
     EXPECT_THROW(check_protocol_line(R"({"cmd":"reboot"})"), InvalidInput);

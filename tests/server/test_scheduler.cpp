@@ -2,8 +2,8 @@
 // that stay ascending and bit-identical to a serial SweepService::run() at
 // any queue depth, fair-share round-robin across client ids, strict
 // priority ordering (no inversion), whole-job cache hits that stream with
-// zero netlist clones, golden prefetch overlap, and clean cancellation of
-// queued and running jobs — including scheduler teardown with a backlog.
+// zero netlist clones, and clean cancellation of queued and running jobs —
+// including scheduler teardown with a backlog.
 
 #include "server/scheduler.h"
 
@@ -21,7 +21,6 @@
 
 #include "common/annotated_mutex.h"
 #include "common/strings.h"
-#include "core/golden_cache.h"
 #include "core/paper_setup.h"
 #include "monitor/table1.h"
 #include "server/job_cache.h"
@@ -437,31 +436,6 @@ TEST(JobScheduler, VerifySerialRunsOnTheDispatcherThread) {
     EXPECT_EQ(sched.stats().cache_hits, 0u);
 }
 
-TEST(JobScheduler, GoldenPrefetchOverlapsTheQueue) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
-    auto& golden_cache = core::GoldenSignatureCache::instance();
-    golden_cache.clear();
-
-    JobScheduler sched(service, JobScheduler::Options{});
-    sched.set_paused(true); // dispatch held back; prefetch is not
-    JobHandle h = sched.submit(
-        wire_job(R"({"job":"deviations","deviations":[-5,5]})"));
-    // The prefetch thread computes the golden while the queue is paused.
-    for (int i = 0; i < 500 && sched.stats().goldens_prefetched == 0; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_EQ(sched.stats().goldens_prefetched, 1u);
-    EXPECT_EQ(golden_cache.misses(), 1u); // the prefetch compute itself
-    const std::size_t hits_before = golden_cache.hits();
-
-    sched.set_paused(false);
-    EXPECT_EQ(drain(h).size(), 2u);
-    EXPECT_EQ(h.outcome().state, JobState::done);
-    // The dispatched job's own set_golden hit the warmed entry instead of
-    // recomputing: overlap with zero effect on result bits.
-    EXPECT_EQ(golden_cache.misses(), 1u);
-    EXPECT_GE(golden_cache.hits(), hits_before + 1);
-}
-
 TEST(JobScheduler, DestructorCancelsBacklogAndHandlesStayValid) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
     std::vector<JobHandle> handles;
@@ -511,6 +485,7 @@ TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
             lines.push_back(l);
         });
         session.emit_ready(256);
+        ASSERT_TRUE(session.handle_line(R"({"cmd":"stats"})"));
         ASSERT_TRUE(session.handle_line(
             R"({"job":"deviations","id":"warm","client":"alice",)" +
             small_universe + "}"));
@@ -523,6 +498,13 @@ TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
             small_universe + "}"));
         ASSERT_TRUE(session.handle_line(R"({"cmd":"stats"})"));
         session.drain();
+        // A fast_math job switches the service pipeline to the other
+        // stimulus trace: the trace cache counters in `stats` must move.
+        ASSERT_TRUE(session.handle_line(
+            R"({"job":"deviations","id":"fm","fast_math":true,)" +
+            small_universe + "}"));
+        session.drain();
+        ASSERT_TRUE(session.handle_line(R"({"cmd":"stats"})"));
         EXPECT_TRUE(session.all_verified());
     }
 
@@ -535,6 +517,7 @@ TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
     };
     std::map<std::string, PerJob> jobs;
     std::uint64_t wire_cache_hits = 0;
+    std::vector<double> trace_lookups; // trace cache hits + misses per stats
     bool re_done_before_big = false;
     for (const std::string& l : lines) {
         EXPECT_NO_THROW(check_protocol_line(l)) << l;
@@ -557,6 +540,12 @@ TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
         } else if (event == "stats") {
             wire_cache_hits = static_cast<std::uint64_t>(
                 v.at("scheduler").at("cache_hits").as_number());
+            const JsonValue& trace = v.at("trace_cache");
+            for (const char* key :
+                 {"hits", "misses", "size", "evictions", "capacity"})
+                EXPECT_TRUE(trace.has(key)) << key << " missing: " << l;
+            trace_lookups.push_back(trace.at("hits").as_number() +
+                                    trace.at("misses").as_number());
         }
     }
 
@@ -584,6 +573,11 @@ TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
     // ...and finished while bob's long job was still draining — the queue
     // really interleaves, with no head-of-line blocking.
     EXPECT_TRUE(re_done_before_big);
+    EXPECT_TRUE(jobs["fm"].done);
+
+    // Every stats event reports the trace cache, and its counters moved.
+    ASSERT_EQ(trace_lookups.size(), 3u);
+    EXPECT_GT(trace_lookups.back(), trace_lookups.front());
 }
 
 } // namespace
