@@ -75,12 +75,8 @@ std::vector<double> BatchNdfEvaluator::evaluate_deviations(
     SweptParameter parameter) const {
     std::vector<filter::BehaviouralCut> universe;
     universe.reserve(deviations_percent.size());
-    for (const double dev : deviations_percent) {
-        const double frac = dev / 100.0;
-        universe.emplace_back(parameter == SweptParameter::f0
-                                  ? nominal.with_f0_shift(frac)
-                                  : nominal.with_q_shift(frac));
-    }
+    for (const double dev : deviations_percent)
+        universe.emplace_back(deviated_biquad(nominal, dev, parameter));
     std::vector<const filter::Cut*> raw;
     raw.reserve(universe.size());
     for (const auto& c : universe)

@@ -7,7 +7,6 @@ namespace xysig::core {
 std::string setup_fingerprint(std::string_view bank_fp,
                               const MultitoneWaveform& stimulus,
                               std::size_t samples_per_period,
-                              std::optional<bool> compiled_kernels,
                               bool fast_math) {
     // Discrete appends, not a `"x" + std::string&&` chain: that pattern hits
     // GCC's -Wrestrict false positive at -O3 under the -Werror hardening lane.
@@ -29,10 +28,6 @@ std::string setup_fingerprint(std::string_view bank_fp,
     }
     fp += "}|spp=";
     fp += std::to_string(samples_per_period);
-    if (compiled_kernels.has_value()) {
-        fp += "|ck=";
-        fp += *compiled_kernels ? '1' : '0';
-    }
     fp += "|fm=";
     fp += fast_math ? '1' : '0';
     return fp;
@@ -41,7 +36,7 @@ std::string setup_fingerprint(std::string_view bank_fp,
 std::string stimulus_trace_key(const MultitoneWaveform& stimulus,
                                std::size_t samples_per_period,
                                SampleMode mode) {
-    return setup_fingerprint({}, stimulus, samples_per_period, std::nullopt,
+    return setup_fingerprint({}, stimulus, samples_per_period,
                              mode == SampleMode::fast_math);
 }
 

@@ -7,18 +7,17 @@
 /// A setup fingerprint names everything a pipeline setup feeds into result
 /// bits:
 ///
-///     bank{<bank>}|stim{<offset>;<amp>,<freq>,<phase>;...}|spp=<N>|ck=<0|1>|fm=<0|1>
+///     bank{<bank>}|stim{<offset>;<amp>,<freq>,<phase>;...}|spp=<N>|fm=<0|1>
 ///
 /// Every float is hexfloat-formatted (format_double_exact), so two setups
 /// share a fingerprint only when they produce the same bits. The golden
 /// cache prefixes `cut{<cut>}|`, the whole-job cache appends the job's
-/// universe, and the stimulus trace, which depends on neither the monitor
-/// bank nor the kernel flag, keys on the `stim{...}|spp=<N>|fm=<0|1>`
-/// subset. The sampling mode is in every key: exact and fast_math results
-/// differ within the ULP tolerance and must never alias.
+/// universe, and the stimulus trace, which does not depend on the monitor
+/// bank, keys on the `stim{...}|spp=<N>|fm=<0|1>` subset. The sampling mode
+/// is in every key: exact and fast_math results differ within the ULP
+/// tolerance and must never alias.
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -28,12 +27,11 @@
 namespace xysig::core {
 
 /// Builds the setup fingerprint above. An empty `bank_fp` omits the
-/// `bank{}` segment and a nullopt `compiled_kernels` omits `ck=`; callers
-/// whose bank has no exact fingerprint must not cache at all.
+/// `bank{}` segment; callers whose bank has no exact fingerprint must not
+/// cache at all.
 [[nodiscard]] std::string setup_fingerprint(std::string_view bank_fp,
                                             const MultitoneWaveform& stimulus,
                                             std::size_t samples_per_period,
-                                            std::optional<bool> compiled_kernels,
                                             bool fast_math);
 
 /// Key of one sampled stimulus trace: `stim{...}|spp=<N>|fm=<0|1>`.

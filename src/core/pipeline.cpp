@@ -82,7 +82,7 @@ std::string SignaturePipeline::golden_cache_key(const filter::Cut& cut) const {
     key += cut_key;
     key += "}|";
     key += setup_fingerprint(bank_fp, stimulus_, options_.samples_per_period,
-                             options_.compiled_kernels, options_.fast_math);
+                             options_.fast_math);
     return key;
 }
 
@@ -145,17 +145,12 @@ capture::Chronogram SignaturePipeline::ideal_chronogram(const filter::Cut& cut,
         for (double& v : scratch.ys_)
             v += noise_rng->normal(0.0, options_.noise_sigma);
     }
-    if (options_.compiled_kernels) {
-        // Fused zoning -> run-length path: one devirtualised monitor pass
-        // per bit-plane, then RLE over the code buffer. Bit-identical to
-        // encode_events (tests/kernels pin this).
-        compiled_bank_.codes_into(scratch.xs_, scratch.ys_, scratch.codes_,
-                                  sample_mode());
-        capture::Chronogram::encode_codes(scratch.codes_, dt, scratch.events_);
-    } else {
-        capture::Chronogram::encode_events(scratch.xs_, scratch.ys_, dt, bank_,
-                                           scratch.events_);
-    }
+    // Fused zoning -> run-length path: one devirtualised monitor pass per
+    // bit-plane, then RLE over the code buffer. Bit-identical to
+    // encode_events (tests/kernels pin this).
+    compiled_bank_.codes_into(scratch.xs_, scratch.ys_, scratch.codes_,
+                              sample_mode());
+    capture::Chronogram::encode_codes(scratch.codes_, dt, scratch.events_);
     const double period = dt * static_cast<double>(scratch.xs_.size());
     return capture::Chronogram(period, static_cast<unsigned>(bank_.size()),
                                scratch.events_);

@@ -9,6 +9,14 @@
 
 namespace xysig::core {
 
+filter::Biquad deviated_biquad(const filter::Biquad& nominal,
+                               double deviation_percent,
+                               SweptParameter parameter) {
+    const double frac = deviation_percent / 100.0;
+    return parameter == SweptParameter::f0 ? nominal.with_f0_shift(frac)
+                                           : nominal.with_q_shift(frac);
+}
+
 std::vector<SweepPoint> deviation_sweep(SignaturePipeline& pipeline,
                                         const filter::Biquad& nominal,
                                         std::span<const double> deviations_percent,

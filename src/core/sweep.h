@@ -22,6 +22,13 @@ struct SweepPoint {
 /// Which Biquad parameter the sweep deviates.
 enum class SweptParameter { f0, q };
 
+/// The nominal filter with `parameter` shifted by `deviation_percent` %:
+/// the one member constructor of every deviation-sweep engine, so their
+/// members are bit-identical. Requires deviation_percent > -100.
+[[nodiscard]] filter::Biquad deviated_biquad(const filter::Biquad& nominal,
+                                             double deviation_percent,
+                                             SweptParameter parameter);
+
 /// Runs the deviation sweep of a behavioural Biquad CUT. The pipeline's
 /// golden signature is (re)set to the nominal filter first. Sweep points
 /// are evaluated concurrently through the batch NDF engine (threads == 0

@@ -16,8 +16,7 @@ std::string pipeline_fingerprint(const core::SignaturePipeline& pipe) {
     if (opts.noise_sigma != 0.0 || opts.quantise)
         return {}; // noise draws / capture options are not in the key scheme
     return core::setup_fingerprint(bank_fp, pipe.stimulus(),
-                                   opts.samples_per_period,
-                                   opts.compiled_kernels, opts.fast_math);
+                                   opts.samples_per_period, opts.fast_math);
 }
 
 JobResultCache::JobResultCache(std::size_t capacity)

@@ -297,8 +297,17 @@ void dump_number(double v, std::string& out) {
         out += "null";
         return;
     }
+    // Integral values below 2^53 print as JSON integers ("2000000", not the
+    // shortest form "2e+06"); -0 keeps the shortest form, which carries its
+    // sign.
+    constexpr double kMaxExactInteger = 9007199254740992.0; // 2^53
+    // xylint: exact-compare(trunc equality is the exact is-integer test; v == 0 singles out -0)
+    const bool integral = v == std::trunc(v) && !(v == 0.0 && std::signbit(v));
     char buf[32];
-    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+    const auto [ptr, ec] =
+        integral && std::abs(v) < kMaxExactInteger
+            ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v))
+            : std::to_chars(buf, buf + sizeof(buf), v);
     out.append(buf, static_cast<std::size_t>(ptr - buf));
 }
 

@@ -6,7 +6,6 @@
 #include <map>
 
 #include "common/contracts.h"
-#include "common/parallel.h"
 #include "common/strings.h"
 
 namespace xysig::server {
@@ -90,9 +89,10 @@ struct SweepService::JobContext {
     const SweepJob::CutListUniverse* cut_list = nullptr;
     const SweepJob::DeviationUniverse* deviation = nullptr;
     const SweepJob::FaultUniverse* faults = nullptr;
-    /// Materialised deviation members (one BehaviouralCut per grid point;
-    /// construction matches BatchNdfEvaluator::evaluate_deviations exactly,
-    /// which is what keeps the two paths bit-identical).
+    /// Materialised deviation members (one BehaviouralCut per grid point,
+    /// built by core::deviated_biquad like
+    /// BatchNdfEvaluator::evaluate_deviations, which keeps the two paths
+    /// bit-identical).
     std::vector<filter::BehaviouralCut> behavioural;
 
     std::size_t members_total = 0;
@@ -118,6 +118,37 @@ struct SweepService::JobContext {
         return failed.load(std::memory_order_relaxed) ||
                (cancel != nullptr && cancel->cancelled());
     }
+
+    /// Parks a non-member failure (bad node name, contract violation) for
+    /// run() to rethrow and stops the whole job.
+    void fail(std::exception_ptr error) {
+        {
+            MutexLock lock(mutex);
+            if (!first_error)
+                first_error = std::move(error);
+        }
+        failed.store(true, std::memory_order_relaxed);
+        cv.notify_all();
+    }
+
+    /// Counts one pool task out of active_workers on every exit path.
+    /// Decrement and notify happen under the lock: run() may destroy the
+    /// context the moment it observes zero, so the broadcast must complete
+    /// before the task releases the mutex.
+    class ActiveWorker {
+    public:
+        explicit ActiveWorker(JobContext& ctx) : ctx_(ctx) {}
+        ActiveWorker(const ActiveWorker&) = delete;
+        ActiveWorker& operator=(const ActiveWorker&) = delete;
+        ~ActiveWorker() {
+            MutexLock lock(ctx_.mutex);
+            --ctx_.active_workers;
+            ctx_.cv.notify_all();
+        }
+
+    private:
+        JobContext& ctx_;
+    };
 
     [[nodiscard]] SweepResult evaluate_one(core::NdfScratch& scratch,
                                            std::size_t member_id,
@@ -171,51 +202,9 @@ struct SweepService::JobContext {
 
 SweepService::SweepService(core::SignaturePipeline pipeline,
                            SweepServiceOptions options)
-    : pipeline_(std::move(pipeline)), options_(options) {
+    : pipeline_(std::move(pipeline)), options_(options),
+      pool_(options.workers) {
     XYSIG_EXPECTS(options_.shard_size >= 1);
-    const unsigned n =
-        options_.workers == 0 ? default_thread_count() : options_.workers;
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this, i] { worker_loop(i); });
-}
-
-SweepService::~SweepService() {
-    {
-        MutexLock lock(dispatch_mutex_);
-        stopping_ = true;
-    }
-    dispatch_cv_.notify_all();
-    for (std::thread& w : workers_)
-        w.join();
-}
-
-void SweepService::worker_loop(unsigned worker_index) {
-    std::uint64_t seen_generation = 0;
-    while (true) {
-        JobContext* ctx = nullptr;
-        {
-            MutexLock lock(dispatch_mutex_);
-            dispatch_cv_.wait(lock, [&]() REQUIRES(dispatch_mutex_) {
-                return stopping_ || (current_job_ != nullptr &&
-                                     job_generation_ != seen_generation);
-            });
-            if (stopping_)
-                return;
-            seen_generation = job_generation_;
-            ctx = current_job_;
-        }
-        run_shards(*ctx, worker_index);
-        {
-            // Decrement-and-notify under the lock: run() may destroy the
-            // JobContext the moment it observes active_workers == 0, so the
-            // broadcast must complete before this worker releases the mutex
-            // (a notify after unlocking would race the cv's destruction).
-            MutexLock lock(ctx->mutex);
-            --ctx->active_workers;
-            ctx->cv.notify_all();
-        }
-    }
 }
 
 void SweepService::run_shards(JobContext& ctx, unsigned worker_index) {
@@ -240,15 +229,7 @@ void SweepService::run_shards(JobContext& ctx, unsigned worker_index) {
             try {
                 result = ctx.evaluate_member(ws, i);
             } catch (...) {
-                // Non-member failure (bad node name, contract violation):
-                // park it for run() to rethrow and stop the whole job.
-                {
-                    MutexLock lock(ctx.mutex);
-                    if (!ctx.first_error)
-                        ctx.first_error = std::current_exception();
-                }
-                ctx.failed.store(true, std::memory_order_relaxed);
-                ctx.cv.notify_all();
+                ctx.fail(std::current_exception());
                 completed = false;
                 break;
             }
@@ -304,13 +285,9 @@ JobSummary SweepService::run(const SweepJob& job,
         ctx.deviation = dv;
         ctx.members_total = dv->deviations_percent.size();
         ctx.behavioural.reserve(ctx.members_total);
-        for (const double dev : dv->deviations_percent) {
-            const double frac = dev / 100.0;
+        for (const double dev : dv->deviations_percent)
             ctx.behavioural.emplace_back(
-                dv->parameter == core::SweptParameter::f0
-                    ? dv->nominal.with_f0_shift(frac)
-                    : dv->nominal.with_q_shift(frac));
-        }
+                core::deviated_biquad(dv->nominal, dev, dv->parameter));
         behavioural_golden.emplace(dv->nominal);
         golden = &*behavioural_golden;
     } else {
@@ -337,29 +314,32 @@ JobSummary SweepService::run(const SweepJob& job,
 
     const auto t0 = std::chrono::steady_clock::now();
     if (ctx.members_total > 0) {
+        // One task per pool thread; each claims shards until none are left.
+        const unsigned workers = pool_.thread_count();
+        unsigned submitted = 0;
         {
-            // active_workers belongs to ctx.mutex, not dispatch_mutex_:
-            // workers can only reach the context after current_job_ is
-            // published below, so this runs race-free, but under its own
-            // lock so the guard discipline holds.
             MutexLock lock(ctx.mutex);
-            ctx.active_workers = workers_.size();
+            ctx.active_workers = workers;
         }
-        {
-            MutexLock lock(dispatch_mutex_);
-            current_job_ = &ctx;
-            ++job_generation_;
-        }
-        dispatch_cv_.notify_all();
 
         // Deliver results on this thread, in ascending member order:
         // contiguous from 0 while workers are live, then (after
         // cancellation/failure) whatever stragglers completed, still
-        // ascending but with gaps. The whole delivery loop is guarded: a
-        // throwing result callback must stop the workers and wait for them
-        // to release the stack-allocated JobContext before run() unwinds —
-        // otherwise they would keep dereferencing a destroyed context.
+        // ascending but with gaps. Submission and delivery are guarded
+        // together: a throwing submit or result callback must stop the
+        // tasks and wait for them to release the stack-allocated JobContext
+        // before run() unwinds.
         try {
+            for (; submitted < workers; ++submitted) {
+                pool_.submit([&ctx, w = submitted] {
+                    const JobContext::ActiveWorker active(ctx);
+                    try {
+                        run_shards(ctx, w);
+                    } catch (...) {
+                        ctx.fail(std::current_exception());
+                    }
+                });
+            }
             std::size_t next_expected = 0;
             std::vector<SweepResult> batch;
             bool finished = false;
@@ -391,24 +371,15 @@ JobSummary SweepService::run(const SweepJob& job,
             }
         } catch (...) {
             ctx.failed.store(true, std::memory_order_relaxed);
-            {
-                MutexLock lock(ctx.mutex);
-                ctx.cv.wait(lock, [&]() REQUIRES(ctx.mutex) {
-                    return ctx.active_workers == 0;
-                });
-            }
-            {
-                MutexLock lock(dispatch_mutex_);
-                current_job_ = nullptr;
-            }
+            MutexLock lock(ctx.mutex);
+            ctx.active_workers -= workers - submitted; // never queued
+            ctx.cv.wait(lock, [&]() REQUIRES(ctx.mutex) {
+                return ctx.active_workers == 0;
+            });
             throw;
         }
         {
-            MutexLock lock(dispatch_mutex_);
-            current_job_ = nullptr;
-        }
-        {
-            // Workers are done (active_workers hit 0 under ctx.mutex), but
+            // Tasks are done (active_workers hit 0 under ctx.mutex), but
             // the guard discipline still applies to the finalisation reads.
             MutexLock lock(ctx.mutex);
             if (ctx.first_error)

@@ -8,10 +8,10 @@
 /// A sweep job is one member universe — a SPICE fault universe, a
 /// behavioural deviation grid, or an explicit CUT list — screened against
 /// the pipeline's golden signature. The service shards the universe into
-/// contiguous work units, schedules units across a persistent worker pool,
-/// and streams (member_id, ndf, signature) results incrementally through a
-/// callback, in member order, instead of materialising one giant result
-/// vector.
+/// contiguous work units, schedules units across a ThreadPool the service
+/// owns, and streams (member_id, ndf, signature) results incrementally
+/// through a callback, in member order, instead of materialising one giant
+/// result vector.
 ///
 /// Guarantees (pinned by tests/server and bench_sweep_service):
 ///  * NDF values are bit-identical to the serial BatchNdfEvaluator /
@@ -35,12 +35,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <variant>
 #include <vector>
 
 #include "capture/fault_injection.h"
 #include "common/annotated_mutex.h"
+#include "common/parallel.h"
 #include "core/batch_ndf.h"
 #include "core/pipeline.h"
 #include "core/sweep.h"
@@ -48,7 +48,7 @@
 namespace xysig::server {
 
 struct SweepServiceOptions {
-    /// Persistent worker threads; 0 = default_thread_count().
+    /// Worker threads of the service's pool; 0 = default_thread_count().
     unsigned workers = 0;
     /// Default members per work unit when a job does not set its own. Small
     /// shards load-balance ragged universes (SPICE members vary wildly in
@@ -178,18 +178,16 @@ private:
 };
 
 /// The service. Owns the pipeline (set_golden mutates it per job) and a
-/// persistent pool of worker threads that live across jobs; run() is the
-/// blocking submit-and-stream entry point and may be called repeatedly.
-/// One job runs at a time (concurrent run() calls serialise); results
-/// within a job are produced concurrently but delivered from the run()
-/// caller's thread.
+/// ThreadPool whose threads live across jobs; run() is the blocking
+/// submit-and-stream entry point and may be called repeatedly. One job
+/// runs at a time (concurrent run() calls serialise); results within a job
+/// are produced concurrently but delivered from the run() caller's thread.
 class SweepService {
 public:
     using ResultCallback = std::function<void(const SweepResult&)>;
 
     explicit SweepService(core::SignaturePipeline pipeline,
                           SweepServiceOptions options = {});
-    ~SweepService();
 
     SweepService(const SweepService&) = delete;
     SweepService& operator=(const SweepService&) = delete;
@@ -208,7 +206,7 @@ public:
         return pipeline_;
     }
     [[nodiscard]] unsigned worker_count() const noexcept {
-        return static_cast<unsigned>(workers_.size());
+        return pool_.thread_count();
     }
     /// Members per work unit for jobs that do not set their own.
     [[nodiscard]] std::size_t default_shard_size() const noexcept {
@@ -227,25 +225,18 @@ public:
 private:
     struct JobContext;
 
-    void worker_loop(unsigned worker_index) EXCLUDES(dispatch_mutex_);
-    void run_shards(JobContext& ctx, unsigned worker_index);
+    static void run_shards(JobContext& ctx, unsigned worker_index);
 
     core::SignaturePipeline pipeline_;
     SweepServiceOptions options_;
-
-    /// Filled in the constructor, joined in the destructor, otherwise
-    /// immutable — needs no guard (unlike ThreadPool, nothing ever swaps
-    /// the handles out mid-life).
-    std::vector<std::thread> workers_;
-    Mutex job_mutex_;     ///< serialises run() callers; guards no fields
-    Mutex dispatch_mutex_;
-    CondVar dispatch_cv_;
-    JobContext* current_job_ GUARDED_BY(dispatch_mutex_) = nullptr;
-    std::uint64_t job_generation_ GUARDED_BY(dispatch_mutex_) = 0;
-    bool stopping_ GUARDED_BY(dispatch_mutex_) = false;
+    Mutex job_mutex_; ///< serialises run() callers; guards no fields
 
     mutable Mutex stats_mutex_;
     ServiceStats stats_ GUARDED_BY(stats_mutex_);
+
+    /// Declared last so it is destroyed first: its threads are joined
+    /// before anything a task could touch goes away.
+    ThreadPool pool_;
 };
 
 } // namespace xysig::server

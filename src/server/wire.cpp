@@ -48,6 +48,44 @@ template <typename Cache>
     return o;
 }
 
+/// The `job_done` event: one shape for a job cancelled while queued (a
+/// summary whose only non-zero field is members_total) and a run job.
+[[nodiscard]] JsonValue::Object job_done_event(const std::string& id,
+                                               const JobSummary& summary,
+                                               bool cancelled, bool cached,
+                                               double queue_seconds) {
+    double shard_min = 0.0, shard_max = 0.0, shard_sum = 0.0;
+    for (const auto& st : summary.shard_timings) {
+        // xylint: exact-compare(0.0 is the no-shard-seen-yet sentinel, assigned verbatim above)
+        shard_min = (shard_min == 0.0 || st.seconds < shard_min)
+                        ? st.seconds
+                        : shard_min;
+        shard_max = std::max(shard_max, st.seconds);
+        shard_sum += st.seconds;
+    }
+    JsonValue::Object o;
+    o.emplace("event", "job_done");
+    if (!id.empty())
+        o.emplace("id", id);
+    o.emplace("members_total", summary.members_total);
+    o.emplace("members_done", summary.members_done);
+    o.emplace("shards_total", summary.shards_total);
+    o.emplace("shards_done", summary.shards_done);
+    o.emplace("cancelled", cancelled);
+    o.emplace("seconds", summary.seconds);
+    o.emplace("netlist_clones", summary.netlist_clones);
+    o.emplace("shard_seconds_min", shard_min);
+    o.emplace("shard_seconds_max", shard_max);
+    o.emplace("shard_seconds_mean",
+              summary.shard_timings.empty()
+                  ? 0.0
+                  : shard_sum /
+                        static_cast<double>(summary.shard_timings.size()));
+    o.emplace("cached", cached);
+    o.emplace("queue_seconds", queue_seconds);
+    return o;
+}
+
 } // namespace
 
 core::SignaturePipeline make_paper_pipeline(std::size_t samples_per_period) {
@@ -109,6 +147,12 @@ WireJob parse_wire_job(const JsonValue& v) {
                                                      static_cast<double>(i) /
                                                      static_cast<double>(count - 1));
         }
+        // A -100 % shift zeroes f0 or Q: reject it here, as a typed error,
+        // rather than as a filter precondition mid-job.
+        for (const double d : wire.deviations)
+            if (!(d > -100.0))
+                throw InvalidInput("wire: every deviation must be > -100 "
+                                   "(got " + format_double(d, 6) + ")");
         // Content-addressed universe key over the MATERIALISED full grid:
         // an explicit list and a grid spelling the same values share one
         // key, and exact hexfloats make a hit bit-identical by definition.
@@ -138,6 +182,11 @@ WireJob parse_wire_job(const JsonValue& v) {
             throw InvalidInput(
                 "wire: universe must name 'bridging' and/or 'open'");
         const std::size_t settle = index_or(v, "settle_periods", 2);
+        if (settle < 1 ||
+            settle > static_cast<std::size_t>(std::numeric_limits<int>::max()))
+            throw InvalidInput("wire: settle_periods must be in [1, " +
+                               std::to_string(std::numeric_limits<int>::max()) +
+                               "]");
         // The fault universe is a deterministic function of these options
         // over the built-in circuit (bridging always enumerated before
         // open), so normalised flags — not the raw universe string — key
@@ -646,24 +695,10 @@ void ServerSession::emit_job_events(JobHandle handle) {
     if (handle.cancelled_before_start()) {
         // Dequeued by a cancel before the service ever saw it: close the
         // job on the wire (cancelled, zero members) without a job_start.
-        const JobOutcome out = handle.outcome();
-        JsonValue::Object o;
-        o.emplace("event", "job_done");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("members_total", wire.job.size());
-        o.emplace("members_done", std::size_t{0});
-        o.emplace("shards_total", std::size_t{0});
-        o.emplace("shards_done", std::size_t{0});
-        o.emplace("cancelled", true);
-        o.emplace("seconds", 0.0);
-        o.emplace("netlist_clones", std::size_t{0});
-        o.emplace("shard_seconds_min", 0.0);
-        o.emplace("shard_seconds_max", 0.0);
-        o.emplace("shard_seconds_mean", 0.0);
-        o.emplace("cached", false);
-        o.emplace("queue_seconds", out.queue_seconds);
-        emit(o);
+        JobSummary summary;
+        summary.members_total = wire.job.size();
+        emit(job_done_event(id, summary, /*cancelled=*/true, /*cached=*/false,
+                            handle.outcome().queue_seconds));
         return;
     }
 
@@ -714,39 +749,8 @@ void ServerSession::emit_job_events(JobHandle handle) {
         return;
     }
 
-    {
-        const JobSummary& summary = out.summary;
-        double shard_min = 0.0, shard_max = 0.0, shard_sum = 0.0;
-        for (const auto& st : summary.shard_timings) {
-            // xylint: exact-compare(0.0 is the no-shard-seen-yet sentinel, assigned verbatim above)
-            shard_min = (shard_min == 0.0 || st.seconds < shard_min)
-                            ? st.seconds
-                            : shard_min;
-            shard_max = std::max(shard_max, st.seconds);
-            shard_sum += st.seconds;
-        }
-        JsonValue::Object o;
-        o.emplace("event", "job_done");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("members_total", summary.members_total);
-        o.emplace("members_done", summary.members_done);
-        o.emplace("shards_total", summary.shards_total);
-        o.emplace("shards_done", summary.shards_done);
-        o.emplace("cancelled", out.state == JobState::cancelled);
-        o.emplace("seconds", summary.seconds);
-        o.emplace("netlist_clones", summary.netlist_clones);
-        o.emplace("shard_seconds_min", shard_min);
-        o.emplace("shard_seconds_max", shard_max);
-        o.emplace("shard_seconds_mean",
-                  summary.shard_timings.empty()
-                      ? 0.0
-                      : shard_sum / static_cast<double>(
-                                        summary.shard_timings.size()));
-        o.emplace("cached", out.from_cache);
-        o.emplace("queue_seconds", out.queue_seconds);
-        emit(o);
-    }
+    emit(job_done_event(id, out.summary, out.state == JobState::cancelled,
+                        out.from_cache, out.queue_seconds));
 
     if (wire.verify_serial && out.verify_skipped_cancelled) {
         // A cancelled job has a legitimately incomplete stream; that is not

@@ -98,7 +98,7 @@ MosEval level1_nmos(const MosParams& p, double vgs, double vds) {
 /// twins, and the hoisted-constant form in
 /// kernels::CompiledMonitorBank::leg_value. Any model change must be
 /// replicated with identical association in all three;
-/// tests/kernels/test_compiled_kernels.cpp pins the equality over a dense
+/// the tests/kernels suite pins the equality over a dense
 /// (model x type x bias) grid and fails on any drift.
 double ekv_id_nmos(const MosParams& p, double vgs, double vds) {
     if (vds < 0.0)

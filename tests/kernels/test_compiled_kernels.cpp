@@ -2,8 +2,9 @@
 // mos_id vs mos_evaluate().id, tone-table sampling vs per-sample
 // Waveform::value, compiled zoning vs MonitorBank::code over randomized
 // traces for every boundary type (linear, MOS, mixed banks, fallback), the
-// fused encode_codes path vs encode_events, and the whole pipeline with
-// kernels on vs off (noise-free, noisy and capture-quantised).
+// fused encode_codes path vs encode_events, and the whole pipeline's
+// scratch path vs its virtual chronogram() reference (noise-free, noisy and
+// capture-quantised).
 
 #include "kernels/compiled_monitor_bank.h"
 #include "kernels/compiled_waveform.h"
@@ -259,11 +260,10 @@ TEST(EncodeCodes, MatchesEncodeEvents) {
     }
 }
 
-core::SignaturePipeline make_pipeline(bool compiled, double noise_sigma = 0.0,
+core::SignaturePipeline make_pipeline(double noise_sigma = 0.0,
                                       bool quantise = false) {
     core::PipelineOptions opts;
     opts.samples_per_period = 2048;
-    opts.compiled_kernels = compiled;
     opts.noise_sigma = noise_sigma;
     opts.quantise = quantise;
     if (quantise)
@@ -272,55 +272,71 @@ core::SignaturePipeline make_pipeline(bool compiled, double noise_sigma = 0.0,
                                    core::paper_stimulus(), opts);
 }
 
+/// The virtual reference: chronogram() zones through MonitorBank::code and
+/// Chronogram::encode_events, never through the compiled kernels.
+double virtual_ndf(const core::SignaturePipeline& pipe,
+                   const filter::Cut& golden, const filter::Cut& cut,
+                   Rng* noise_rng = nullptr) {
+    return core::ndf(pipe.chronogram(cut, noise_rng), pipe.chronogram(golden));
+}
+
+void expect_same_chronogram(const capture::Chronogram& a,
+                            const capture::Chronogram& b) {
+    EXPECT_EQ(a.period(), b.period());
+    ASSERT_EQ(a.events().size(), b.events().size());
+    for (std::size_t i = 0; i < a.events().size(); ++i) {
+        ASSERT_EQ(a.events()[i].t, b.events()[i].t) << "event " << i;
+        ASSERT_EQ(a.events()[i].code, b.events()[i].code) << "event " << i;
+    }
+}
+
 TEST(PipelineKernels, CompiledNdfBitIdenticalToVirtual) {
-    core::SignaturePipeline fast = make_pipeline(true);
-    core::SignaturePipeline slow = make_pipeline(false);
+    core::SignaturePipeline pipe = make_pipeline();
     const filter::BehaviouralCut golden(core::paper_biquad());
-    fast.set_golden(golden);
-    slow.set_golden(golden);
-    core::NdfScratch scratch_fast;
-    core::NdfScratch scratch_slow;
+    pipe.set_golden(golden);
+    expect_same_chronogram(pipe.golden(), pipe.chronogram(golden));
+    core::NdfScratch scratch;
     for (double dev = -0.2; dev <= 0.2001; dev += 0.04) {
         const filter::BehaviouralCut cut(core::paper_biquad().with_f0_shift(dev));
-        const double a = fast.ndf_of(cut, scratch_fast);
-        const double b = slow.ndf_of(cut, scratch_slow);
-        ASSERT_EQ(a, b) << "deviation " << dev;
-        // And against the allocating virtual reference path.
-        ASSERT_EQ(a, slow.ndf_of(cut)) << "deviation " << dev;
+        const core::SignaturePipeline::CutEvaluation eval =
+            pipe.evaluate(cut, scratch);
+        expect_same_chronogram(eval.observed, pipe.chronogram(cut));
+        ASSERT_EQ(eval.ndf, virtual_ndf(pipe, golden, cut)) << "deviation " << dev;
+        // And the allocating one-shot entry point.
+        ASSERT_EQ(pipe.ndf_of(cut), eval.ndf) << "deviation " << dev;
     }
 }
 
 TEST(PipelineKernels, NoisyAndQuantisedPathsBitIdentical) {
-    core::SignaturePipeline fast = make_pipeline(true, 0.005, true);
-    core::SignaturePipeline slow = make_pipeline(false, 0.005, true);
+    core::SignaturePipeline pipe = make_pipeline(0.005, true);
     const filter::BehaviouralCut golden(core::paper_biquad());
-    fast.set_golden(golden);
-    slow.set_golden(golden);
+    pipe.set_golden(golden);
     const filter::BehaviouralCut cut(core::paper_biquad().with_f0_shift(0.1));
-    core::NdfScratch sa;
-    core::NdfScratch sb;
+    core::NdfScratch scratch;
     for (std::uint64_t seed : {1u, 2u, 3u}) {
         Rng rng_a(seed);
         Rng rng_b(seed);
-        ASSERT_EQ(fast.ndf_of(cut, sa, &rng_a), slow.ndf_of(cut, sb, &rng_b))
+        ASSERT_EQ(pipe.ndf_of(cut, scratch, &rng_a),
+                  virtual_ndf(pipe, golden, cut, &rng_b))
             << "seed " << seed;
     }
 }
 
 TEST(PipelineKernels, BatchEvaluatorUsesCompiledPath) {
-    core::SignaturePipeline fast = make_pipeline(true);
-    core::SignaturePipeline slow = make_pipeline(false);
+    core::SignaturePipeline pipe = make_pipeline();
     const filter::BehaviouralCut golden(core::paper_biquad());
-    fast.set_golden(golden);
-    slow.set_golden(golden);
+    pipe.set_golden(golden);
     std::vector<double> devs;
     for (int d = -15; d <= 15; d += 3)
         devs.push_back(d);
-    const core::BatchNdfEvaluator batch_fast(fast, {.threads = 2});
-    const core::BatchNdfEvaluator batch_slow(slow, {.threads = 2});
-    const auto a = batch_fast.evaluate_deviations(core::paper_biquad(), devs);
-    const auto b = batch_slow.evaluate_deviations(core::paper_biquad(), devs);
-    ASSERT_EQ(a, b);
+    const core::BatchNdfEvaluator batch(pipe, {.threads = 2});
+    const auto got = batch.evaluate_deviations(core::paper_biquad(), devs);
+    ASSERT_EQ(got.size(), devs.size());
+    for (std::size_t i = 0; i < devs.size(); ++i) {
+        const filter::BehaviouralCut cut(
+            core::paper_biquad().with_f0_shift(devs[i] / 100.0));
+        ASSERT_EQ(got[i], virtual_ndf(pipe, golden, cut)) << "deviation " << devs[i];
+    }
 }
 
 } // namespace

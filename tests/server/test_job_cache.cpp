@@ -48,9 +48,9 @@ TEST(PipelineFingerprint, ExactWhenCacheableEmptyOtherwise) {
     core::PipelineOptions spp = opts;
     spp.samples_per_period = 512;
     EXPECT_NE(fp, pipeline_fingerprint(make_pipeline(spp)));
-    core::PipelineOptions kernels = opts;
-    kernels.compiled_kernels = false;
-    EXPECT_NE(fp, pipeline_fingerprint(make_pipeline(kernels)));
+    core::PipelineOptions fast = opts;
+    fast.fast_math = true;
+    EXPECT_NE(fp, pipeline_fingerprint(make_pipeline(fast)));
     // Noise and capture quantisation make results non-replayable from a
     // content key (RNG / capture options outside the key): caching off.
     core::PipelineOptions noisy = opts;

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -61,6 +62,23 @@ TEST(Json, NumbersRoundTripExactly) {
     for (const double x : {0.1, 1e300, -4.9e-324, 12345.6789, 0.0}) {
         const std::string dumped = JsonValue(x).dump();
         EXPECT_EQ(JsonValue::parse(dumped).as_number(), x) << dumped;
+    }
+}
+
+TEST(Json, IntegralNumbersPrintAsIntegers) {
+    // Counters of 10^6 and up must not go out in exponent form; every
+    // other value keeps the shortest form. Each parses back to the same
+    // bits, -0 included.
+    const std::pair<double, const char*> cases[] = {
+        {2e6, "2000000"}, {3e15, "3000000000000000"}, {-7.0, "-7"},
+        {0.5, "0.5"},     {1e300, "1e+300"},          {-0.0, "-0"}};
+    for (const auto& [x, text] : cases) {
+        const std::string dumped = JsonValue(x).dump();
+        EXPECT_EQ(dumped, text);
+        const double back = JsonValue::parse(dumped).as_number();
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+                  std::bit_cast<std::uint64_t>(x))
+            << dumped;
     }
 }
 

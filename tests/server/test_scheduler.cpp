@@ -580,5 +580,93 @@ TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
     EXPECT_GT(trace_lookups.back(), trace_lookups.front());
 }
 
+/// Runs lines through one session and returns every emitted line.
+std::vector<std::string> session_lines(
+    SweepService& service,
+    const std::function<void(ServerSession&)>& drive) {
+    xysig::Mutex lines_mutex;
+    std::vector<std::string> lines;
+    {
+        ServerSession session(service, [&](const std::string& l) {
+            xysig::MutexLock g(lines_mutex);
+            lines.push_back(l);
+        });
+        drive(session);
+        session.drain();
+    }
+    return lines;
+}
+
+std::vector<std::string> object_keys(const JsonValue& v) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : v.as_object())
+        keys.push_back(key);
+    return keys;
+}
+
+// A job cancelled by id while still queued never reaches the service: it
+// gets no job_start, and its job_done has the normal shape with zero
+// members done.
+TEST(ServerSession, QueuedCancelClosesWithZeroMemberJobDone) {
+    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    const std::vector<std::string> lines =
+        session_lines(service, [](ServerSession& session) {
+            // "long" has far more members than can finish before the
+            // cancels below, so "queued" is still waiting behind it.
+            ASSERT_TRUE(session.handle_line(
+                R"({"job":"deviations","id":"long","grid":{"from":-20,"to":20,"count":100000}})"));
+            ASSERT_TRUE(session.handle_line(
+                R"({"job":"deviations","id":"queued","deviations":[-5,0,5]})"));
+            ASSERT_TRUE(session.handle_line(R"({"cmd":"cancel","id":"queued"})"));
+            ASSERT_TRUE(session.handle_line(R"({"cmd":"cancel","id":"long"})"));
+            ASSERT_TRUE(session.handle_line(
+                R"({"job":"deviations","id":"normal","deviations":[-5,5]})"));
+        });
+
+    std::map<std::string, JsonValue> job_done;
+    bool queued_started = false;
+    for (const std::string& l : lines) {
+        EXPECT_NO_THROW(check_protocol_line(l)) << l;
+        const JsonValue v = JsonValue::parse(l);
+        const std::string event = v.at("event").as_string();
+        const std::string id = v.string_or("id", "");
+        if (event == "job_start" && id == "queued")
+            queued_started = true;
+        if (event == "job_done")
+            job_done.emplace(id, v);
+    }
+    EXPECT_FALSE(queued_started);
+    ASSERT_EQ(job_done.count("queued"), 1u);
+    ASSERT_EQ(job_done.count("normal"), 1u);
+    const JsonValue& cancelled = job_done.at("queued");
+    EXPECT_TRUE(cancelled.at("cancelled").as_bool());
+    EXPECT_EQ(cancelled.at("members_done").as_number(), 0.0);
+    EXPECT_EQ(cancelled.at("members_total").as_number(), 3.0);
+    EXPECT_FALSE(cancelled.at("cached").as_bool());
+    EXPECT_FALSE(job_done.at("normal").at("cancelled").as_bool());
+    EXPECT_EQ(object_keys(cancelled), object_keys(job_done.at("normal")));
+}
+
+// Domain errors are typed decode errors: one `error` event, no `queued`,
+// and no source path from a failed precondition.
+TEST(ServerSession, DomainErrorIsOneErrorEventWithoutSourcePath) {
+    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    for (const std::string line :
+         {R"({"job":"deviations","parameter":"f0","deviations":[-150]})",
+          R"({"job":"spice_faults","settle_periods":0})",
+          R"({"job":"deviations","grid":{"from":-120,"to":20,"count":5}})"}) {
+        const std::vector<std::string> lines =
+            session_lines(service, [&](ServerSession& session) {
+                ASSERT_TRUE(session.handle_line(line));
+            });
+        ASSERT_EQ(lines.size(), 1u) << line;
+        const JsonValue v = JsonValue::parse(lines[0]);
+        EXPECT_EQ(v.at("event").as_string(), "error") << lines[0];
+        EXPECT_EQ(v.at("message").as_string().find(".cpp"), std::string::npos)
+            << lines[0];
+        EXPECT_NO_THROW(check_protocol_line(lines[0])) << lines[0];
+    }
+}
+
 } // namespace
 } // namespace xysig::server
