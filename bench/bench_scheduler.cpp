@@ -1,6 +1,6 @@
 // Scheduler scaling report: JobScheduler at (queue depth x worker count)
-// combinations over distinct behavioural deviation grids, one concurrent
-// drainer thread per submitted job. Every combination runs twice: a cold
+// combinations over distinct behavioural deviation grids, each job's
+// results collected by its observer. Every combination runs twice: a cold
 // pass gated on per-job bit-identity with a serial SweepService::run()
 // reference, and a warm resubmit pass that must additionally be served
 // entirely by the whole-job result cache (zero worker involvement). Any
@@ -14,10 +14,13 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/annotated_mutex.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "common/timing.h"
@@ -60,6 +63,39 @@ bool same_stream(const std::vector<server::SweepResult>& a,
     }
     return true;
 }
+
+/// Collects one job's results under their local ids; wait() blocks until
+/// the job's done call.
+class StreamCollector final : public server::JobObserver {
+public:
+    void queued(bool) override {}
+    void started() override {}
+    void result(std::size_t member, const server::SweepResult& r) override {
+        server::SweepResult local = r;
+        local.member_id = member;
+        MutexLock lock(m_);
+        results_.push_back(std::move(local));
+    }
+    void done(const server::JobOutcome& out) override {
+        MutexLock lock(m_);
+        outcome_ = out;
+        cv_.notify_all();
+    }
+
+    /// The outcome once done; `results` receives the stream.
+    server::JobOutcome wait(std::vector<server::SweepResult>& results) {
+        MutexLock lock(m_);
+        cv_.wait(lock, [this]() REQUIRES(m_) { return outcome_.has_value(); });
+        results = std::move(results_);
+        return *outcome_;
+    }
+
+private:
+    Mutex m_;
+    CondVar cv_;
+    std::vector<server::SweepResult> results_ GUARDED_BY(m_);
+    std::optional<server::JobOutcome> outcome_ GUARDED_BY(m_);
+};
 
 core::SignaturePipeline make_pipeline(std::size_t spp) {
     core::PipelineOptions opts;
@@ -167,30 +203,22 @@ int main(int argc, char** argv) {
 
             for (int pass = 0; pass < 2; ++pass) {
                 std::vector<std::vector<server::SweepResult>> streams(depth);
-                std::vector<server::JobHandle> handles;
-                handles.reserve(depth);
-                std::vector<std::thread> drainers;
-                drainers.reserve(depth);
+                std::vector<std::shared_ptr<StreamCollector>> collectors;
+                collectors.reserve(depth);
+                std::uint64_t cached = 0;
                 const double dt = seconds_of([&] {
+                    for (std::size_t d = 0; d < depth; ++d) {
+                        collectors.push_back(std::make_shared<StreamCollector>());
+                        sched.submit(jobs[d], {}, collectors[d]);
+                    }
                     for (std::size_t d = 0; d < depth; ++d)
-                        handles.push_back(sched.submit(jobs[d]));
-                    for (std::size_t d = 0; d < depth; ++d)
-                        drainers.emplace_back([&, d] {
-                            server::SweepResult r;
-                            while (handles[d].next(r))
-                                streams[d].push_back(r);
-                        });
-                    for (std::thread& t : drainers)
-                        t.join();
+                        if (collectors[d]->wait(streams[d]).from_cache)
+                            ++cached;
                 });
 
-                std::uint64_t cached = 0;
                 bool ok = true;
-                for (std::size_t d = 0; d < depth; ++d) {
+                for (std::size_t d = 0; d < depth; ++d)
                     ok = ok && same_stream(streams[d], refs[d]);
-                    if (handles[d].outcome().from_cache)
-                        ++cached;
-                }
                 // The cold pass runs distinct grids (no hits possible); the
                 // warm pass must come entirely out of the whole-job cache.
                 ok = ok && (pass == 0 ? cached == 0 : cached == depth);

@@ -11,13 +11,15 @@
 // plumbing.
 //
 // Since protocol version 2, handle_line() submits jobs asynchronously —
-// a job is acknowledged with a `queued` event and its results stream from
-// a per-job emitter thread — so this main loop is a single-threaded
-// getline: cancels take effect on receipt (submission never blocks the
-// reader for the duration of a job), multiple in-flight jobs interleave
-// on one connection, and backpressure comes from the scheduler's bounded
-// queue + the OS pipe. {"cmd":"quit"} drains every in-flight job before
-// the loop exits, as does EOF.
+// a job is acknowledged with a `queued` event and its results are written
+// by the scheduler's dispatcher as the service produces them (a cache hit
+// streams at once, on this thread) — so this main loop is a
+// single-threaded getline: cancels take effect on receipt (submission
+// never blocks the reader for the duration of a job), multiple in-flight
+// jobs interleave on one connection, and backpressure comes from the
+// scheduler's bounded queue + the OS pipe. No thread is started per job.
+// {"cmd":"quit"} drains every in-flight job before the loop exits, as
+// does EOF.
 //
 // With --listen=PORT the same protocol is served over TCP instead of
 // stdin/stdout: the process binds the port (0 = ephemeral), announces

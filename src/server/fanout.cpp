@@ -270,15 +270,25 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
             transport->shutdown();
             break;
         }
+        // The peer's id for this dispatch; cancels name it, so one also
+        // reaches the partition while it is still queued at the peer.
+        const std::string job_id = shared.base_id + "#p" +
+                                   std::to_string(segment_index) + "a" +
+                                   std::to_string(attempts);
+        std::string cancel_line;
+        {
+            JsonValue::Object cancel;
+            cancel.emplace("cmd", "cancel");
+            cancel.emplace("id", job_id);
+            cancel_line = JsonValue(std::move(cancel)).dump();
+        }
         {
             JsonValue::Object job = shared.base_job;
             JsonValue::Object members;
             members.emplace("first", next_needed);
             members.emplace("count", dispatch_end - next_needed);
             job.insert_or_assign("members", JsonValue(std::move(members)));
-            job.insert_or_assign("id", shared.base_id + "#p" +
-                                           std::to_string(segment_index) +
-                                           "a" + std::to_string(attempts));
+            job.insert_or_assign("id", job_id);
             job.insert_or_assign("version", JsonValue(kProtocolVersion));
             job.insert_or_assign("progress_every", JsonValue(0));
             job.insert_or_assign("cancel_after", JsonValue(0));
@@ -300,7 +310,7 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                 // Cooperative cancellation fan-out: ask, don't kill — the
                 // peer finishes members in flight and reports a cancelled
                 // job_done, so nothing evaluated is lost.
-                (void)transport->send_line(R"({"cmd":"cancel"})");
+                (void)transport->send_line(cancel_line);
                 cancel_sent = true;
             }
             const auto status = transport->read_line(line, kPollSliceSeconds);
@@ -335,7 +345,12 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                             "fanout: result member outside the dispatched "
                             "range");
                     record.ndf_hex = event.at("ndf_hex").as_string();
-                    record.ndf = std::strtod(record.ndf_hex.c_str(), nullptr);
+                    char* hex_end = nullptr;
+                    record.ndf = std::strtod(record.ndf_hex.c_str(), &hex_end);
+                    if (record.ndf_hex.empty() ||
+                        hex_end != record.ndf_hex.c_str() + record.ndf_hex.size())
+                        throw InvalidInput(
+                            "fanout: result ndf_hex is not a number");
                     record.label = event.string_or("label", "");
                     if (event.has("signature"))
                         record.signature = event.at("signature").as_string();
@@ -362,7 +377,7 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                     shared.cv.notify_all();
                     if (range_complete) {
                         // Stop the peer from burning CPU on stolen members.
-                        (void)transport->send_line(R"({"cmd":"cancel"})");
+                        (void)transport->send_line(cancel_line);
                         (void)transport->send_line(R"({"cmd":"quit"})");
                         done = true;
                     }
@@ -621,13 +636,11 @@ FanoutSummary FanoutDriver::run(const JsonValue& job,
     // in-process SweepService::run over the same universe.
     if (options_.verify_single_process && !summary.cancelled) {
         summary.verify_ran = true;
-        SweepServiceOptions sopts;
-        sopts.workers = options_.verify_workers;
         SweepService reference(
             make_paper_pipeline(summary.samples_per_period != 0
                                     ? summary.samples_per_period
                                     : 512),
-            sopts);
+            SweepServiceOptions{});
         bool identical = merged.size() == total;
         std::size_t i = 0;
         (void)reference.run(whole.job, [&](const SweepResult& r) {

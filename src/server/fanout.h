@@ -23,9 +23,10 @@
 /// in-partition stream is contiguous, so the received prefix is exact and
 /// nothing is delivered twice. A job the peer *rejects* (error event) is
 /// deterministic and fails the whole run instead of being retried.
-/// Cancellation fans out as `{"cmd":"cancel"}` to every live peer;
-/// everything already evaluated still streams out in ascending order
-/// (gaps allowed), exactly like SweepService cancellation.
+/// Cancellation fans out as `{"cmd":"cancel","id":...}` naming each live
+/// peer's partition job (so it sticks whether that job is running or
+/// still queued); everything already evaluated still streams out in
+/// ascending order (gaps allowed), exactly like SweepService cancellation.
 ///
 /// Straggler recovery (FanoutOptions::steal_threshold): a partition
 /// thread that finishes early steals the top half of the slowest
@@ -79,9 +80,6 @@ struct FanoutOptions {
     /// SweepService and gate on exact per-member identity with the merged
     /// stream (the fan-out analogue of sweep_server's verify_serial).
     bool verify_single_process = false;
-    /// Worker threads for the verify service (bit-identity of the
-    /// reference does not depend on this — PR-4's gate).
-    unsigned verify_workers = 2;
 };
 
 /// One merged result record (the wire result event, decoded).

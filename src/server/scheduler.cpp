@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "common/contracts.h"
 #include "common/strings.h"
@@ -19,82 +20,25 @@ using Clock = std::chrono::steady_clock;
 
 } // namespace
 
-/// Shared job state: the scheduler produces into it, one consumer drains
-/// it. `m` guards everything below it; the WireJob and submit metadata are
-/// immutable after submit() and need no lock.
-struct JobHandle::Record {
+/// Immutable after submit() except the token, which is internally atomic
+/// and poked from any thread.
+struct JobScheduler::Job {
     WireJob wire;
-    JobScheduler::SubmitOptions opts;
+    SubmitOptions opts;
+    std::shared_ptr<JobObserver> observer;
     std::string cache_key; ///< "" = cache bypassed for this job
     std::uint64_t submit_seq = 0;
     Clock::time_point submitted_at;
+    SweepCancelToken token;
 
-    Mutex m;
-    CondVar cv;
-    JobOutcome out GUARDED_BY(m);
-    std::deque<SweepResult> results GUARDED_BY(m);
-    bool closed GUARDED_BY(m) = false;    ///< no further results; final `out`
-    bool accounted GUARDED_BY(m) = false; ///< terminal state counted once
-    SweepCancelToken token; ///< internally atomic; poked from any thread
-};
-
-// ------------------------------------------------------------------ handle
-
-bool JobHandle::next(SweepResult& out) {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    r.cv.wait(lock, [&]() REQUIRES(r.m) { return !r.results.empty() || r.closed; });
-    if (r.results.empty())
-        return false;
-    out = std::move(r.results.front());
-    r.results.pop_front();
-    return true;
-}
-
-void JobHandle::wait_until_started() {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    r.cv.wait(lock,
-              [&]() REQUIRES(r.m) { return r.out.state != JobState::queued; });
-}
-
-void JobHandle::cancel() {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    if (r.out.state == JobState::queued) {
-        // Finalise in place; the dispatcher skips (and accounts) the
-        // record when it eventually pops it.
-        r.out.state = JobState::cancelled;
-        r.closed = true;
-        r.cv.notify_all();
-    } else if (r.out.state == JobState::running) {
-        r.token.cancel();
+    /// The outcome of a job that never left the queue.
+    [[nodiscard]] JobOutcome cancelled_in_queue() const {
+        JobOutcome out;
+        out.state = JobState::cancelled;
+        out.summary.members_total = wire.job.size();
+        return out;
     }
-}
-
-JobOutcome JobHandle::outcome() const {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    XYSIG_EXPECTS(r.closed);
-    return r.out;
-}
-
-bool JobHandle::from_cache() const {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    return r.out.from_cache;
-}
-
-bool JobHandle::cancelled_before_start() const {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    return r.closed && r.out.state == JobState::cancelled &&
-           r.out.run_sequence == 0 && !r.out.from_cache && r.results.empty();
-}
-
-const WireJob& JobHandle::wire() const { return record_->wire; }
-
-// --------------------------------------------------------------- scheduler
+};
 
 JobScheduler::JobScheduler(SweepService& service, Options options)
     : service_(service), options_(options),
@@ -107,22 +51,13 @@ JobScheduler::JobScheduler(SweepService& service, Options options)
 }
 
 JobScheduler::~JobScheduler() {
+    std::vector<JobPtr> dequeued;
     {
         MutexLock lock(mutex_);
         stopping_ = true;
-        for (auto& [client, queue] : queues_) {
-            for (const RecordPtr& rec : queue) {
-                {
-                    MutexLock rlock(rec->m);
-                    if (rec->out.state == JobState::queued) {
-                        rec->out.state = JobState::cancelled;
-                        rec->closed = true;
-                        rec->cv.notify_all();
-                    }
-                }
-                account_terminal_locked(rec);
-            }
-        }
+        for (auto& [client, queue] : queues_)
+            for (JobPtr& job : queue)
+                dequeued.push_back(std::move(job));
         queues_.clear();
         pending_ = 0;
         if (running_ != nullptr)
@@ -130,6 +65,8 @@ JobScheduler::~JobScheduler() {
         dispatch_cv_.notify_all();
         space_cv_.notify_all();
     }
+    for (const JobPtr& job : dequeued)
+        finish(*job, job->cancelled_in_queue());
     dispatcher_thread_.join();
 }
 
@@ -154,93 +91,85 @@ std::string JobScheduler::job_cache_key(const WireJob& wire) const {
     return key;
 }
 
-JobHandle JobScheduler::submit(WireJob wire, SubmitOptions opts) {
-    auto rec = std::make_shared<JobHandle::Record>();
-    rec->wire = std::move(wire);
-    rec->opts = std::move(opts);
-    rec->submitted_at = Clock::now();
-    rec->cache_key = job_cache_key(rec->wire);
+void JobScheduler::submit(WireJob wire, SubmitOptions opts,
+                          std::shared_ptr<JobObserver> observer) {
+    XYSIG_EXPECTS(observer != nullptr);
+    auto job = std::make_unique<Job>();
+    job->wire = std::move(wire);
+    job->opts = std::move(opts);
+    job->observer = std::move(observer);
+    job->submitted_at = Clock::now();
+    job->cache_key = job_cache_key(job->wire);
 
-    // Submit-time cache hit: stream without ever entering the queue, so a
-    // resubmitted job interleaves with (and never waits behind) a draining
-    // one.
-    if (!rec->cache_key.empty()) {
-        if (auto hit = cache_.lookup(rec->cache_key, rec->wire.member_offset,
-                                     rec->wire.job.size())) {
+    // Submit-time cache hit: stream on this thread without ever entering
+    // the queue, so a resubmitted job never waits behind a running one.
+    if (!job->cache_key.empty()) {
+        if (auto hit = cache_.lookup(job->cache_key, job->wire.member_offset,
+                                     job->wire.job.size())) {
             {
                 MutexLock lock(mutex_);
                 ++stats_.submitted;
             }
-            serve_from_cache(rec, *hit);
-            {
-                MutexLock lock(mutex_);
-                account_terminal_locked(rec);
-            }
-            return JobHandle(rec);
+            job->observer->queued(true);
+            finish(*job, serve_from_cache(*job, *hit));
+            return;
         }
     }
 
+    // Acknowledge BEFORE the dispatcher can see the job, so `queued` always
+    // precedes the job's own event stream.
+    job->observer->queued(false);
     MutexLock lock(mutex_);
     space_cv_.wait(lock, [&]() REQUIRES(mutex_) {
         return stopping_ || pending_ < options_.max_pending;
     });
     ++stats_.submitted;
     if (stopping_) {
-        {
-            MutexLock rlock(rec->m);
-            rec->out.state = JobState::cancelled;
-            rec->closed = true;
-            rec->cv.notify_all();
-        }
-        account_terminal_locked(rec);
-        return JobHandle(rec);
+        lock.Unlock();
+        finish(*job, job->cancelled_in_queue());
+        return;
     }
-    rec->submit_seq = next_submit_seq_++;
+    job->submit_seq = next_submit_seq_++;
     // Per-client queue kept sorted: priority descending, submit order
     // within a priority — inserting before the first strictly-lower
     // priority preserves FIFO among equals.
-    std::deque<RecordPtr>& queue = queues_[rec->opts.client];
+    std::deque<JobPtr>& queue = queues_[job->opts.client];
+    const int priority = job->opts.priority;
     const auto pos = std::find_if(queue.begin(), queue.end(),
-                                  [&](const RecordPtr& other) {
-                                      return other->opts.priority <
-                                             rec->opts.priority;
+                                  [&](const JobPtr& other) {
+                                      return other->opts.priority < priority;
                                   });
-    queue.insert(pos, rec);
+    queue.insert(pos, std::move(job));
     ++pending_;
     dispatch_cv_.notify_all();
-    return JobHandle(rec);
 }
 
 void JobScheduler::cancel(const std::string& wire_id) {
-    MutexLock lock(mutex_);
-    if (!wire_id.empty()) {
-        for (auto it = queues_.begin(); it != queues_.end();) {
-            std::deque<RecordPtr>& queue = it->second;
-            for (auto qi = queue.begin(); qi != queue.end();) {
-                if ((*qi)->wire.id != wire_id) {
-                    ++qi;
-                    continue;
-                }
-                const RecordPtr rec = *qi;
-                {
-                    MutexLock rlock(rec->m);
-                    if (rec->out.state == JobState::queued) {
-                        rec->out.state = JobState::cancelled;
-                        rec->closed = true;
-                        rec->cv.notify_all();
+    std::vector<JobPtr> dequeued;
+    {
+        MutexLock lock(mutex_);
+        if (!wire_id.empty()) {
+            for (auto it = queues_.begin(); it != queues_.end();) {
+                std::deque<JobPtr>& queue = it->second;
+                for (auto qi = queue.begin(); qi != queue.end();) {
+                    if ((*qi)->wire.id != wire_id) {
+                        ++qi;
+                        continue;
                     }
+                    dequeued.push_back(std::move(*qi));
+                    qi = queue.erase(qi);
+                    --pending_;
                 }
-                account_terminal_locked(rec);
-                qi = queue.erase(qi);
-                --pending_;
+                it = queue.empty() ? queues_.erase(it) : std::next(it);
             }
-            it = queue.empty() ? queues_.erase(it) : std::next(it);
+            space_cv_.notify_all();
         }
-        space_cv_.notify_all();
+        if (running_ != nullptr &&
+            (wire_id.empty() || running_->wire.id == wire_id))
+            running_->token.cancel();
     }
-    if (running_ != nullptr &&
-        (wire_id.empty() || running_->wire.id == wire_id))
-        running_->token.cancel();
+    for (const JobPtr& job : dequeued)
+        finish(*job, job->cancelled_in_queue());
 }
 
 void JobScheduler::set_paused(bool paused) {
@@ -256,30 +185,29 @@ JobScheduler::Stats JobScheduler::stats() const {
     return s;
 }
 
-void JobScheduler::account_terminal_locked(const RecordPtr& rec) {
-    MutexLock rlock(rec->m);
-    if (rec->accounted || !rec->closed)
-        return;
-    rec->accounted = true;
-    switch (rec->out.state) {
-    case JobState::done:
-        ++stats_.completed;
-        if (rec->out.from_cache)
-            ++stats_.cache_hits;
-        break;
-    case JobState::failed:
-        ++stats_.failed;
-        break;
-    case JobState::cancelled:
-        ++stats_.cancelled;
-        break;
-    case JobState::queued:
-    case JobState::running:
-        break; // unreachable: closed implies a terminal state
+void JobScheduler::finish(Job& job, const JobOutcome& outcome) {
+    {
+        MutexLock lock(mutex_);
+        switch (outcome.state) {
+        case JobState::done:
+            ++stats_.completed;
+            if (outcome.from_cache)
+                ++stats_.cache_hits;
+            break;
+        case JobState::failed:
+            ++stats_.failed;
+            break;
+        case JobState::cancelled:
+            ++stats_.cancelled;
+            break;
+        }
+        if (running_ == &job)
+            running_ = nullptr;
     }
+    job.observer->done(outcome);
 }
 
-JobScheduler::RecordPtr JobScheduler::pick_next_locked() {
+JobScheduler::JobPtr JobScheduler::pick_next_locked() {
     // Highest priority wins; ties go to the least-recently-served client
     // (fair share), then to submit order. Client queues are individually
     // sorted, so each front() is its client's best candidate.
@@ -288,7 +216,7 @@ JobScheduler::RecordPtr JobScheduler::pick_next_locked() {
     for (auto it = queues_.begin(); it != queues_.end(); ++it) {
         if (it->second.empty())
             continue;
-        const RecordPtr& cand = it->second.front();
+        const JobPtr& cand = it->second.front();
         const auto served_it = last_served_.find(it->first);
         const std::uint64_t served =
             served_it == last_served_.end() ? 0 : served_it->second;
@@ -297,7 +225,7 @@ JobScheduler::RecordPtr JobScheduler::pick_next_locked() {
             best_served = served;
             continue;
         }
-        const RecordPtr& best = best_queue->second.front();
+        const JobPtr& best = best_queue->second.front();
         const int cp = cand->opts.priority;
         const int bp = best->opts.priority;
         if (cp > bp || (cp == bp && (served < best_served ||
@@ -308,7 +236,7 @@ JobScheduler::RecordPtr JobScheduler::pick_next_locked() {
         }
     }
     XYSIG_EXPECTS(best_queue != queues_.end());
-    RecordPtr rec = best_queue->second.front();
+    JobPtr job = std::move(best_queue->second.front());
     best_queue->second.pop_front();
     // Bound the fairness bookkeeping: a stream of one-shot client ids must
     // not grow the map forever (resetting just forgets who was served).
@@ -319,12 +247,12 @@ JobScheduler::RecordPtr JobScheduler::pick_next_locked() {
         queues_.erase(best_queue);
     --pending_;
     space_cv_.notify_all();
-    return rec;
+    return job;
 }
 
 void JobScheduler::dispatcher_main() {
     while (true) {
-        RecordPtr rec;
+        JobPtr job;
         {
             MutexLock lock(mutex_);
             dispatch_cv_.wait(lock, [&]() REQUIRES(mutex_) {
@@ -332,158 +260,109 @@ void JobScheduler::dispatcher_main() {
             });
             if (stopping_)
                 return;
-            rec = pick_next_locked();
-            running_ = rec;
+            job = pick_next_locked();
+            running_ = job.get();
         }
-        execute(rec);
-        {
-            MutexLock lock(mutex_);
-            running_ = nullptr;
-            account_terminal_locked(rec);
-        }
+        finish(*job, execute(*job));
     }
 }
 
-void JobScheduler::execute(const RecordPtr& rec) {
-    {
-        MutexLock lock(rec->m);
-        if (rec->closed)
-            return; // cancelled through its handle while queued
-    }
+JobOutcome JobScheduler::execute(Job& job) {
+    const WireJob& wire = job.wire;
     // Dispatch-time cache re-check: an identical job completed since this
     // one was queued (cold duplicates queued back-to-back).
-    if (!rec->cache_key.empty()) {
-        if (auto hit = cache_.lookup(rec->cache_key, rec->wire.member_offset,
-                                     rec->wire.job.size())) {
-            serve_from_cache(rec, *hit);
-            return;
-        }
+    if (!job.cache_key.empty()) {
+        if (auto hit = cache_.lookup(job.cache_key, wire.member_offset,
+                                     wire.job.size()))
+            return serve_from_cache(job, *hit);
     }
 
-    // run_counter_ is mutex_ state; fetch the sequence number BEFORE taking
-    // rec->m. Taking mutex_ while holding rec->m would invert the one
-    // sanctioned lock order (mutex_ -> rec->m, see account_terminal_locked)
-    // and could deadlock against the dispatcher/cancel paths.
-    std::uint64_t run_seq = 0;
+    JobOutcome out;
     {
         MutexLock lock(mutex_);
-        run_seq = run_counter_++;
+        out.run_sequence = run_counter_++;
     }
-    {
-        MutexLock lock(rec->m);
-        rec->out.state = JobState::running;
-        rec->out.queue_seconds = seconds_since(rec->submitted_at);
-        rec->out.run_sequence = run_seq;
-        rec->cv.notify_all();
-    }
+    out.queue_seconds = seconds_since(job.submitted_at);
+    job.observer->started();
 
-    const bool collect = !rec->cache_key.empty();
+    const bool collect = !job.cache_key.empty();
     std::vector<SweepResult> collected;
     std::vector<double> streamed;
     if (collect)
-        collected.reserve(rec->wire.job.size());
-    if (rec->wire.verify_serial)
-        streamed.reserve(rec->wire.job.size());
+        collected.reserve(wire.job.size());
+    if (wire.verify_serial)
+        streamed.reserve(wire.job.size());
     std::size_t delivered = 0;
 
     try {
         const JobSummary summary = service_.run(
-            rec->wire.job,
+            wire.job,
             [&](const SweepResult& r) {
                 if (collect) {
                     SweepResult global = r;
-                    global.member_id += rec->wire.member_offset;
+                    global.member_id += wire.member_offset;
                     collected.push_back(std::move(global));
                 }
-                if (rec->wire.verify_serial)
+                if (wire.verify_serial)
                     streamed.push_back(r.ndf);
-                {
-                    MutexLock lock(rec->m);
-                    rec->results.push_back(r);
-                    rec->cv.notify_all();
-                }
+                job.observer->result(r.member_id, r);
                 ++delivered;
-                if (rec->wire.cancel_after != 0 &&
-                    delivered >= rec->wire.cancel_after)
-                    rec->token.cancel();
+                if (wire.cancel_after != 0 && delivered >= wire.cancel_after)
+                    job.token.cancel();
             },
-            &rec->token);
+            &job.token);
 
         // verify_serial runs HERE, on the dispatcher thread, while the
         // job's own golden is still installed in the service pipeline —
         // the next dispatch replaces it.
-        bool verify_ran = false, verified = true, skipped = false;
-        std::size_t verify_members = 0;
-        if (rec->wire.verify_serial) {
+        if (wire.verify_serial) {
             if (summary.cancelled) {
-                skipped = true;
+                out.verify_skipped_cancelled = true;
             } else {
                 const std::vector<double> reference =
-                    wire_serial_reference(rec->wire, service_.pipeline());
-                verify_ran = true;
-                verify_members = reference.size();
-                verified = streamed.size() == reference.size();
-                if (verified)
+                    wire_serial_reference(wire, service_.pipeline());
+                out.verify_ran = true;
+                out.verify_members = reference.size();
+                out.verified = streamed.size() == reference.size();
+                if (out.verified)
                     for (std::size_t i = 0; i < reference.size(); ++i)
-                        verified = verified &&
-                                   format_double_exact(streamed[i]) ==
-                                       format_double_exact(reference[i]);
+                        out.verified = out.verified &&
+                                       format_double_exact(streamed[i]) ==
+                                           format_double_exact(reference[i]);
             }
         }
 
         if (collect && !summary.cancelled &&
-            collected.size() == rec->wire.job.size())
-            cache_.insert(rec->cache_key, rec->wire.member_offset,
+            collected.size() == wire.job.size())
+            cache_.insert(job.cache_key, wire.member_offset,
                           std::move(collected));
 
-        MutexLock lock(rec->m);
-        rec->out.summary = summary;
-        rec->out.verify_ran = verify_ran;
-        rec->out.verified = verified;
-        rec->out.verify_skipped_cancelled = skipped;
-        rec->out.verify_members = verify_members;
-        rec->out.state =
-            summary.cancelled ? JobState::cancelled : JobState::done;
-        rec->closed = true;
-        rec->cv.notify_all();
+        out.summary = summary;
+        out.state = summary.cancelled ? JobState::cancelled : JobState::done;
     } catch (const std::exception& e) {
-        MutexLock lock(rec->m);
-        rec->out.error = e.what();
-        rec->out.state = JobState::failed;
-        rec->closed = true;
-        rec->cv.notify_all();
+        out.error = e.what();
+        out.state = JobState::failed;
     }
+    return out;
 }
 
-void JobScheduler::serve_from_cache(const RecordPtr& rec,
-                                    const JobResultCache::Hit& hit) {
+JobOutcome JobScheduler::serve_from_cache(Job& job,
+                                          const JobResultCache::Hit& hit) {
     const auto t0 = Clock::now();
-    {
-        MutexLock lock(rec->m);
-        if (rec->closed)
-            return; // cancelled in the submit/dispatch window
-        rec->out.state = JobState::running;
-        rec->out.from_cache = true;
-        rec->out.queue_seconds = seconds_since(rec->submitted_at);
-        rec->cv.notify_all();
-    }
+    JobOutcome out;
+    out.from_cache = true;
+    out.queue_seconds = seconds_since(job.submitted_at);
+    job.observer->started();
+    // Stored under global ids; handed out by reference, never copied.
     const std::vector<SweepResult>& all = *hit.results;
-    const std::size_t base = rec->wire.member_offset - hit.first;
-    const std::size_t count = rec->wire.job.size();
-    JobSummary summary;
-    summary.members_total = count;
-    summary.members_done = count;
-    MutexLock lock(rec->m);
-    for (std::size_t i = 0; i < count; ++i) {
-        SweepResult local = all[base + i]; // stored under global ids
-        local.member_id = i;
-        rec->results.push_back(std::move(local));
-    }
-    summary.seconds = seconds_since(t0);
-    rec->out.summary = summary;
-    rec->out.state = JobState::done;
-    rec->closed = true;
-    rec->cv.notify_all();
+    const std::size_t base = job.wire.member_offset - hit.first;
+    const std::size_t count = job.wire.job.size();
+    for (std::size_t i = 0; i < count; ++i)
+        job.observer->result(i, all[base + i]);
+    out.summary.members_total = count;
+    out.summary.members_done = count;
+    out.summary.seconds = seconds_since(t0);
+    return out;
 }
 
 } // namespace xysig::server

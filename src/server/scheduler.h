@@ -5,9 +5,11 @@
 /// Queued multi-tenant job scheduler over one SweepService: the layer that
 /// turns the blocking one-job-at-a-time `run()` call into a submit API.
 ///
-///  * submit() returns immediately with a JobHandle; job N+1 is accepted
-///    (and queued or served from cache) while job N is still
-///    draining — per-job result queues decouple producers from consumers.
+///  * submit() returns as soon as the job is queued (or, on a cache hit,
+///    streamed); job N+1 is accepted while job N is still running. Each
+///    job's events are pushed to its JobObserver from the thread that
+///    already holds them — the submitter, the dispatcher or a canceller —
+///    so no thread and no result queue exists per job.
 ///  * Dispatch order is priority-descending, then fair-share round-robin
 ///    across client ids (the least-recently-served client wins a tie), then
 ///    FIFO within a client — a flood from one client cannot starve another
@@ -23,7 +25,8 @@
 /// hexfloat fingerprints, so a hit replays the identical bits).
 ///
 /// Thread-safety: submit()/cancel()/stats() are concurrently callable from
-/// any thread; each JobHandle is drained by one consumer thread at a time.
+/// any thread, observers included (no scheduler lock is held while an
+/// observer runs).
 
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +35,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/annotated_mutex.h"
 #include "server/job_cache.h"
@@ -41,22 +43,20 @@
 
 namespace xysig::server {
 
-class JobScheduler;
-
 /// Terminal state of a scheduled job.
 enum class JobState {
-    queued,    ///< waiting for dispatch
-    running,   ///< the service (or the cache streamer) is producing results
     done,      ///< completed; every member streamed
-    failed,    ///< decoding/evaluation error; see JobOutcome::error
+    failed,    ///< evaluation error; see JobOutcome::error
     cancelled, ///< cancelled while queued or running (partial stream)
 };
 
-/// What a drained job reports (valid once next() has returned false).
+/// What a finished job reports through JobObserver::done.
 struct JobOutcome {
-    JobState state = JobState::queued;
+    JobState state = JobState::done;
     bool from_cache = false; ///< served by the whole-job cache, no workers
-    JobSummary summary;      ///< zeroed shards/clones for cache hits
+    /// Zeroed shards/clones for cache hits; for a job cancelled while
+    /// queued only members_total is set.
+    JobSummary summary;
     std::string error;       ///< non-empty iff state == failed
     /// verify_serial accounting (run on the dispatcher thread while the
     /// job's golden is still installed in the service pipeline).
@@ -71,43 +71,33 @@ struct JobOutcome {
     double queue_seconds = 0.0; ///< submit -> first dispatch/cache-serve
 };
 
-/// One submitted job: a handle to its private result queue.
-class JobHandle {
+/// Receives one job's events. Per job the calls never overlap and arrive
+/// in order — queued, started, result..., done — and done arrives exactly
+/// once, scheduler teardown included; a job cancelled while queued skips
+/// started and results. The caller of each:
+///  * queued: the submitting thread, before the dispatcher can see the
+///    job; a submit-time cache hit then streams in full on that thread.
+///  * started/result/done: the dispatcher (a run job or a dispatch-time
+///    cache hit).
+///  * done of a job dequeued by cancel() or by teardown: that thread.
+/// No scheduler lock is held during a call, so an observer may call
+/// cancel(). Observers must not throw.
+class JobObserver {
 public:
-    /// Blocking pop of the next result (ascending member order, local ids).
-    /// Returns false once the stream is complete — then outcome() is final.
-    bool next(SweepResult& out);
+    JobObserver() = default;
+    virtual ~JobObserver() = default;
+    JobObserver(const JobObserver&) = delete;
+    JobObserver& operator=(const JobObserver&) = delete;
 
-    /// Blocks until the job leaves the queued state (dispatch, cache serve,
-    /// cancel or failure).
-    void wait_until_started();
-
-    /// Cooperative cancel: dequeues the job if still queued (it then
-    /// finishes as cancelled without running), pokes its cancel token if
-    /// running.
-    void cancel();
-
-    /// Final report; call after next() returned false (asserts otherwise).
-    [[nodiscard]] JobOutcome outcome() const;
-
-    /// True once the job is known to be served by the whole-job cache
-    /// (immediately for submit-time hits); false while undecided.
-    [[nodiscard]] bool from_cache() const;
-
-    /// True iff the job was cancelled while still queued — it produced no
-    /// results and the service never saw it (no job_start on the wire).
-    [[nodiscard]] bool cancelled_before_start() const;
-
-    /// The decoded job this handle tracks.
-    [[nodiscard]] const WireJob& wire() const;
-
-private:
-    friend class JobScheduler;
-    struct Record;
-    explicit JobHandle(std::shared_ptr<Record> record)
-        : record_(std::move(record)) {}
-
-    std::shared_ptr<Record> record_;
+    /// The job was accepted; `cached` = it is served from the cache now.
+    virtual void queued(bool cached) = 0;
+    /// The job left the queue for the service or the cache.
+    virtual void started() = 0;
+    /// One result, ascending. `member` is the job-local id; r.member_id
+    /// is not (a cache hit passes the cached entry, which holds global
+    /// ids, by reference).
+    virtual void result(std::size_t member, const SweepResult& r) = 0;
+    virtual void done(const JobOutcome& outcome) = 0;
 };
 
 /// The scheduler. Owns the dispatcher thread and the job
@@ -143,24 +133,26 @@ public:
     explicit JobScheduler(SweepService& service)
         : JobScheduler(service, Options{}) {}
     JobScheduler(SweepService& service, Options options);
-    ~JobScheduler(); ///< cancels queued+running jobs, joins threads
+    /// Cancels queued+running jobs (every one still gets its done call),
+    /// joins the dispatcher.
+    ~JobScheduler();
 
     JobScheduler(const JobScheduler&) = delete;
     JobScheduler& operator=(const JobScheduler&) = delete;
 
-    /// Enqueues one decoded job and returns its handle immediately (blocks
-    /// only on a full queue). Jobs carrying the verify_serial/cancel_after
-    /// test instruments bypass the cache in both directions.
-    [[nodiscard]] JobHandle submit(WireJob wire) {
-        return submit(std::move(wire), SubmitOptions{});
-    }
-    [[nodiscard]] JobHandle submit(WireJob wire, SubmitOptions opts);
+    /// Enqueues one decoded job and returns once it is queued — or, on a
+    /// submit-time cache hit, once its whole stream has been pushed to
+    /// `observer` (blocks only on a full queue). Jobs carrying the
+    /// verify_serial/cancel_after test instruments bypass the cache in
+    /// both directions.
+    void submit(WireJob wire, SubmitOptions opts,
+                std::shared_ptr<JobObserver> observer) EXCLUDES(mutex_);
 
     /// Wire-level cancel: a non-empty id cancels every queued AND the
-    /// running job whose wire id matches; an empty id cancels only the
-    /// running job (the legacy single-job semantics the fan-out driver
-    /// relies on).
-    void cancel(const std::string& wire_id);
+    /// running job whose wire id matches (a dequeued job's done runs on
+    /// this thread); an empty id cancels only the running job (the legacy
+    /// single-job semantics).
+    void cancel(const std::string& wire_id) EXCLUDES(mutex_);
 
     /// Pauses/resumes dispatch (queued jobs accumulate; the running job is
     /// unaffected). Deterministic-ordering tests and drain-for-maintenance
@@ -174,17 +166,20 @@ public:
     }
 
 private:
-    using RecordPtr = std::shared_ptr<JobHandle::Record>;
+    struct Job; ///< one submitted job; defined in scheduler.cpp
+    using JobPtr = std::unique_ptr<Job>;
 
     void dispatcher_main() EXCLUDES(mutex_);
-    void execute(const RecordPtr& rec) EXCLUDES(mutex_);
-    void serve_from_cache(const RecordPtr& rec,
-                          const JobResultCache::Hit& hit);
-    /// Counts a closed record's terminal state into stats_ exactly once.
-    /// Caller holds mutex_; takes the record's own lock (mutex_ -> rec->m
-    /// is the one sanctioned lock order).
-    void account_terminal_locked(const RecordPtr& rec) REQUIRES(mutex_);
-    [[nodiscard]] RecordPtr pick_next_locked() REQUIRES(mutex_);
+    /// Runs a dequeued job (or serves it from the cache), pushing started
+    /// and every result to its observer; returns the outcome for finish().
+    [[nodiscard]] JobOutcome execute(Job& job) EXCLUDES(mutex_);
+    [[nodiscard]] JobOutcome serve_from_cache(Job& job,
+                                              const JobResultCache::Hit& hit)
+        EXCLUDES(mutex_);
+    /// Counts the outcome into stats_, clears running_ if it is this job,
+    /// then (lock released) hands the outcome to the observer's done.
+    void finish(Job& job, const JobOutcome& outcome) EXCLUDES(mutex_);
+    [[nodiscard]] JobPtr pick_next_locked() REQUIRES(mutex_);
     [[nodiscard]] std::string job_cache_key(const WireJob& wire) const;
 
     SweepService& service_;
@@ -201,9 +196,11 @@ private:
     CondVar dispatch_cv_;
     CondVar space_cv_;
     /// Per-client queues, each kept sorted (priority desc, submit order).
-    std::map<std::string, std::deque<RecordPtr>> queues_ GUARDED_BY(mutex_);
+    std::map<std::string, std::deque<JobPtr>> queues_ GUARDED_BY(mutex_);
     std::map<std::string, std::uint64_t> last_served_ GUARDED_BY(mutex_);
-    RecordPtr running_ GUARDED_BY(mutex_);
+    /// The dispatcher's current job (owned by dispatcher_main), so that
+    /// cancel() can poke its token; null between jobs.
+    Job* running_ GUARDED_BY(mutex_) = nullptr;
     std::size_t pending_ GUARDED_BY(mutex_) = 0;
     bool paused_ GUARDED_BY(mutex_) = false;
     bool stopping_ GUARDED_BY(mutex_) = false;

@@ -81,8 +81,7 @@ TcpTransport::TcpTransport(std::string host, unsigned short port,
     detail::ignore_sigpipe_once();
     connect(options);
     try {
-        if (options.handshake_ready_banner)
-            handshake(options);
+        handshake(options);
     } catch (...) {
         shutdown();
         throw;

@@ -56,10 +56,10 @@ struct TcpTransportOptions {
     double max_backoff_seconds = 1.0;
     /// Total wall-clock budget across all connect attempts and backoffs.
     double connect_timeout_seconds = 10.0;
-    /// Wait for the peer's ready banner and reject a peer whose protocol
-    /// version is newer than this build (the banner is re-delivered by
-    /// the first read_line, so the driver still sees it).
-    bool handshake_ready_banner = true;
+    /// Deadline for the peer's ready banner. The constructor always waits
+    /// for it and rejects a peer whose protocol version is newer than this
+    /// build (the banner is re-delivered by the first read_line, so the
+    /// driver still sees it).
     double handshake_timeout_seconds = 10.0;
 };
 

@@ -191,26 +191,8 @@ void LoopbackTransport::server_main() {
 }
 
 bool LoopbackTransport::send_line(const std::string& line) {
-    // Cancel commands are applied on receipt, not queued: the session
-    // thread is blocked inside the running job and would only pop the
-    // queue after it finished — exactly when cancelling is pointless.
-    // (sweep_server's stdin reader thread does the same interception.)
-    if (line.find("\"cmd\":\"cancel\"") != std::string::npos) {
-        try {
-            const JsonValue v = JsonValue::parse(line);
-            if (v.is_object() && v.string_or("cmd", "") == "cancel") {
-                {
-                    MutexLock lock(mutex_);
-                    if (dead_ || stopping_)
-                        return false;
-                }
-                session_->cancel(v.string_or("id", ""));
-                return true;
-            }
-        } catch (const std::exception&) {
-            // fall through: not actually a cancel command; queue it
-        }
-    }
+    // Cancels are queued like any other line: handle_line returns as soon
+    // as a job is queued, so the session thread reaches them promptly.
     MutexLock lock(mutex_);
     if (dead_ || stopping_)
         return false;

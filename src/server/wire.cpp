@@ -463,11 +463,127 @@ void check_protocol_line(const std::string& line) {
 
 // ------------------------------------------------------------ ServerSession
 
-/// One per-job emitter thread plus its completion flag (reaped lazily on
-/// later submits; drain() joins whatever is left).
-struct ServerSession::Emitter {
-    std::thread thread;
-    std::atomic<bool> finished{false};
+/// One job's event stream: every line is built and emitted on the thread
+/// that delivers the event (see JobObserver). The fields are copied out of
+/// the WireJob before it moves into the scheduler.
+class ServerSession::JobStream final : public JobObserver {
+public:
+    JobStream(ServerSession& session, const WireJob& wire,
+              std::size_t position)
+        : session_(session), id_(wire.id), position_(position),
+          priority_(wire.priority), client_(wire.client),
+          members_(wire.job.size()), first_member_(wire.member_offset),
+          universe_members_(wire.universe_members),
+          progress_every_(wire.progress_every),
+          emit_signatures_(wire.emit_signatures) {}
+
+    void queued(bool cached) override {
+        {
+            MutexLock lock(session_.in_flight_mutex_);
+            ++session_.in_flight_;
+        }
+        JsonValue::Object o;
+        o.emplace("event", "queued");
+        if (!id_.empty())
+            o.emplace("id", id_);
+        o.emplace("position", cached ? std::size_t{0} : position_);
+        o.emplace("priority", priority_);
+        if (!client_.empty())
+            o.emplace("client", client_);
+        o.emplace("cached", cached);
+        session_.emit(o);
+    }
+
+    void started() override {
+        JsonValue::Object o;
+        o.emplace("event", "job_start");
+        if (!id_.empty())
+            o.emplace("id", id_);
+        o.emplace("version", kProtocolVersion);
+        o.emplace("members", members_);
+        o.emplace("first_member", first_member_);
+        o.emplace("universe_members", universe_members_);
+        o.emplace("workers",
+                  static_cast<std::size_t>(session_.service_.worker_count()));
+        session_.emit(o);
+    }
+
+    void result(std::size_t member, const SweepResult& r) override {
+        ++delivered_;
+        JsonValue::Object o;
+        o.emplace("event", "result");
+        if (!id_.empty())
+            o.emplace("id", id_);
+        o.emplace("member", first_member_ + member);
+        o.emplace("ndf", r.ndf);
+        o.emplace("ndf_hex", format_double_exact(r.ndf));
+        o.emplace("label", r.label);
+        if (emit_signatures_ && r.signature.has_value()) {
+            o.emplace("signature", signature_string(*r.signature));
+            o.emplace("zone_visits", r.signature->zone_visits());
+        }
+        session_.emit(o);
+        if (progress_every_ != 0 && delivered_ % progress_every_ == 0) {
+            JsonValue::Object p;
+            p.emplace("event", "progress");
+            if (!id_.empty())
+                p.emplace("id", id_);
+            p.emplace("done", delivered_);
+            p.emplace("total", members_);
+            session_.emit(p);
+        }
+    }
+
+    void done(const JobOutcome& out) override {
+        if (out.state == JobState::failed) {
+            session_.emit_error(id_, out.error);
+        } else {
+            // A job dequeued by a cancel before the service saw it arrives
+            // here without a job_start: cancelled, zero members done.
+            session_.emit(job_done_event(
+                id_, out.summary, out.state == JobState::cancelled,
+                out.from_cache, out.queue_seconds));
+            emit_verify(out);
+        }
+        MutexLock lock(session_.in_flight_mutex_);
+        --session_.in_flight_;
+        session_.in_flight_cv_.notify_all();
+    }
+
+private:
+    /// Only verify_serial jobs carry a verify result.
+    void emit_verify(const JobOutcome& out) {
+        if (!out.verify_skipped_cancelled && !out.verify_ran)
+            return;
+        JsonValue::Object o;
+        o.emplace("event", "verify");
+        if (!id_.empty())
+            o.emplace("id", id_);
+        if (out.verify_skipped_cancelled) {
+            // A cancelled job has a legitimately incomplete stream; that is
+            // not a verification failure, there is just nothing to compare
+            // against.
+            o.emplace("skipped_cancelled", true);
+        } else {
+            if (!out.verified)
+                session_.all_verified_.store(false, std::memory_order_release);
+            o.emplace("bit_identical", out.verified);
+            o.emplace("members", out.verify_members);
+        }
+        session_.emit(o);
+    }
+
+    ServerSession& session_;
+    const std::string id_;
+    const std::size_t position_;
+    const int priority_;
+    const std::string client_;
+    const std::size_t members_;
+    const std::size_t first_member_;
+    const std::size_t universe_members_;
+    const std::size_t progress_every_;
+    const bool emit_signatures_;
+    std::size_t delivered_ = 0; ///< results so far (progress events)
 };
 
 ServerSession::ServerSession(SweepService& service, LineSink sink,
@@ -482,7 +598,7 @@ ServerSession::ServerSession(SweepService& service, LineSink sink,
         // Liveness beacon (protocol v3): one line every interval, whether
         // or not a job is draining — between result lines it is the only
         // proof a slow worker is alive, and emit() serialises it against
-        // the emitter threads so it never splices into another line.
+        // the job streams so it never splices into another line.
         heartbeat_thread_ = std::thread([this,
                                          interval = options.heartbeat_seconds] {
             std::uint64_t seq = 0;
@@ -515,11 +631,9 @@ ServerSession::~ServerSession() {
         heartbeat_cv_.notify_all();
         heartbeat_thread_.join();
     }
-    // Tear down the scheduler next: it cancels queued + running jobs and
-    // closes every record, so the emitters below wind down promptly
-    // instead of draining the whole backlog.
+    // The scheduler's teardown cancels queued + running jobs and emits
+    // every remaining job_done, so nothing is left in flight after it.
     scheduler_.reset();
-    drain();
 }
 
 void ServerSession::emit(const JsonValue::Object& obj) {
@@ -548,43 +662,13 @@ void ServerSession::emit_ready(std::size_t samples_per_period) {
     emit(o);
 }
 
-void ServerSession::cancel(const std::string& id) {
-    {
-        // A cancel landing while handle_line is still DECODING its job
-        // (SPICE universe enumeration takes milliseconds) must stick: mark
-        // it here, submit_job applies it right after the submit.
-        MutexLock lock(precancel_mutex_);
-        if (decoding_active_ && (id.empty() || id == decoding_id_))
-            decoding_cancelled_ = true;
-    }
-    scheduler_->cancel(id);
-}
+void ServerSession::cancel(const std::string& id) { scheduler_->cancel(id); }
 
 void ServerSession::drain() {
-    while (true) {
-        std::vector<std::unique_ptr<Emitter>> finished;
-        {
-            MutexLock lock(emitters_mutex_);
-            finished.swap(emitters_);
-        }
-        if (finished.empty())
-            return;
-        for (const auto& emitter : finished)
-            if (emitter->thread.joinable())
-                emitter->thread.join();
-    }
-}
-
-void ServerSession::reap_finished_emitters_locked() {
-    auto alive = emitters_.begin();
-    for (auto it = emitters_.begin(); it != emitters_.end(); ++it) {
-        if ((*it)->finished.load(std::memory_order_acquire)) {
-            (*it)->thread.join();
-        } else {
-            *alive++ = std::move(*it);
-        }
-    }
-    emitters_.erase(alive, emitters_.end());
+    MutexLock lock(in_flight_mutex_);
+    in_flight_cv_.wait(lock, [this]() REQUIRES(in_flight_mutex_) {
+        return in_flight_ == 0;
+    });
 }
 
 bool ServerSession::handle_line(const std::string& line) {
@@ -629,149 +713,13 @@ bool ServerSession::handle_line(const std::string& line) {
 }
 
 void ServerSession::submit_job(const JsonValue& v) {
-    {
-        MutexLock lock(precancel_mutex_);
-        decoding_active_ = true;
-        decoding_id_ = v.is_object() ? v.string_or("id", "") : std::string();
-        decoding_cancelled_ = false;
-    }
-    struct ClearDecoding {
-        ServerSession* self;
-        ~ClearDecoding() {
-            MutexLock lock(self->precancel_mutex_);
-            self->decoding_active_ = false;
-            self->decoding_id_.clear();
-        }
-    } clear_decoding{this};
-
     WireJob wire = parse_wire_job(v);
-    const std::string id = wire.id;
-    const int priority = wire.priority;
-    const std::string client = wire.client;
+    auto stream = std::make_shared<JobStream>(
+        *this, wire, scheduler_->stats().queue_depth);
     JobScheduler::SubmitOptions sopts;
-    sopts.priority = priority;
-    sopts.client = client;
-    const std::size_t position = scheduler_->stats().queue_depth;
-    JobHandle handle = scheduler_->submit(std::move(wire), std::move(sopts));
-    {
-        MutexLock lock(precancel_mutex_);
-        if (decoding_cancelled_)
-            handle.cancel();
-    }
-
-    // Acknowledge BEFORE spawning the emitter, so `queued` always precedes
-    // the job's own event stream.
-    const bool cached = handle.from_cache();
-    {
-        JsonValue::Object o;
-        o.emplace("event", "queued");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("position", cached ? std::size_t{0} : position);
-        o.emplace("priority", priority);
-        if (!client.empty())
-            o.emplace("client", client);
-        o.emplace("cached", cached);
-        emit(o);
-    }
-
-    auto emitter = std::make_unique<Emitter>();
-    Emitter* raw = emitter.get();
-    emitter->thread =
-        std::thread([this, raw, h = std::move(handle)]() mutable {
-            emit_job_events(std::move(h));
-            raw->finished.store(true, std::memory_order_release);
-        });
-    MutexLock lock(emitters_mutex_);
-    reap_finished_emitters_locked();
-    emitters_.push_back(std::move(emitter));
-}
-
-void ServerSession::emit_job_events(JobHandle handle) {
-    handle.wait_until_started();
-    const WireJob& wire = handle.wire();
-    const std::string& id = wire.id;
-
-    if (handle.cancelled_before_start()) {
-        // Dequeued by a cancel before the service ever saw it: close the
-        // job on the wire (cancelled, zero members) without a job_start.
-        JobSummary summary;
-        summary.members_total = wire.job.size();
-        emit(job_done_event(id, summary, /*cancelled=*/true, /*cached=*/false,
-                            handle.outcome().queue_seconds));
-        return;
-    }
-
-    {
-        JsonValue::Object o;
-        o.emplace("event", "job_start");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("version", kProtocolVersion);
-        o.emplace("members", wire.job.size());
-        o.emplace("first_member", wire.member_offset);
-        o.emplace("universe_members", wire.universe_members);
-        o.emplace("workers", static_cast<std::size_t>(service_.worker_count()));
-        emit(o);
-    }
-
-    std::size_t delivered = 0;
-    SweepResult r;
-    while (handle.next(r)) {
-        ++delivered;
-        JsonValue::Object o;
-        o.emplace("event", "result");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("member", wire.member_offset + r.member_id);
-        o.emplace("ndf", r.ndf);
-        o.emplace("ndf_hex", format_double_exact(r.ndf));
-        o.emplace("label", r.label);
-        if (wire.emit_signatures && r.signature.has_value()) {
-            o.emplace("signature", signature_string(*r.signature));
-            o.emplace("zone_visits", r.signature->zone_visits());
-        }
-        emit(o);
-        if (wire.progress_every != 0 && delivered % wire.progress_every == 0) {
-            JsonValue::Object p;
-            p.emplace("event", "progress");
-            if (!id.empty())
-                p.emplace("id", id);
-            p.emplace("done", delivered);
-            p.emplace("total", wire.job.size());
-            emit(p);
-        }
-    }
-
-    const JobOutcome out = handle.outcome();
-    if (out.state == JobState::failed) {
-        emit_error(id, out.error);
-        return;
-    }
-
-    emit(job_done_event(id, out.summary, out.state == JobState::cancelled,
-                        out.from_cache, out.queue_seconds));
-
-    if (wire.verify_serial && out.verify_skipped_cancelled) {
-        // A cancelled job has a legitimately incomplete stream; that is not
-        // a verification failure, there is just nothing to compare against.
-        JsonValue::Object o;
-        o.emplace("event", "verify");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("skipped_cancelled", true);
-        emit(o);
-    } else if (wire.verify_serial && out.verify_ran) {
-        if (!out.verified)
-            all_verified_.store(false, std::memory_order_release);
-        JsonValue::Object o;
-        o.emplace("event", "verify");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("bit_identical", out.verified);
-        o.emplace("members", out.verify_members);
-        emit(o);
-    }
+    sopts.priority = wire.priority;
+    sopts.client = wire.client;
+    scheduler_->submit(std::move(wire), std::move(sopts), std::move(stream));
 }
 
 void ServerSession::emit_stats() {

@@ -58,7 +58,6 @@
 namespace xysig::server {
 
 class JobScheduler;
-class JobHandle;
 
 /// Protocol version this build speaks (echoed on ready/job_start events).
 inline constexpr int kProtocolVersion = 3;
@@ -154,16 +153,19 @@ struct SessionOptions {
 /// Runs wire requests against a SweepService through a JobScheduler and
 /// emits NDJSON event lines through the sink. handle_line() is the
 /// non-blocking per-request entry point: a job line is decoded, submitted
-/// and acknowledged with a `queued` event, then its whole event stream
-/// (job_start/result/progress/job_done/verify or error) is emitted by a
-/// per-job emitter thread — so multiple in-flight jobs interleave on one
-/// connection while each job's own events stay in order. {"cmd":"quit"}
-/// drains every in-flight job before handle_line returns false, so no
-/// event line is ever lost to an exiting peer.
+/// and acknowledged with a `queued` event; its event stream
+/// (job_start/result/progress/job_done/verify or error) is then built and
+/// emitted by whichever thread the scheduler delivers each event on — the
+/// reader thread for a submit-time cache hit, the dispatcher for a run
+/// job, a cancelling thread for a job dequeued before it ran. No thread
+/// exists per job, so multiple in-flight jobs interleave on one
+/// connection while each job's own events stay in order.
+/// {"cmd":"quit"} drains every in-flight job before handle_line returns
+/// false, so no event line is ever lost to an exiting peer.
 ///
 /// Thread-safety: handle_line()/drain() are driven by ONE reader thread;
-/// cancel() may be called concurrently from any thread (the fan-out
-/// coordinator via LoopbackTransport, a signal handler thread); the sink
+/// cancel() may be called concurrently from any thread, the sink included
+/// (LoopbackTransport's injected death, a signal handler thread); the sink
 /// is invoked under an internal lock, one complete line at a time.
 class ServerSession {
 public:
@@ -171,7 +173,7 @@ public:
 
     ServerSession(SweepService& service, LineSink sink,
                   SessionOptions options = {});
-    ~ServerSession(); ///< cancels in-flight jobs and joins emitters
+    ~ServerSession(); ///< cancels in-flight jobs (each still gets job_done)
 
     ServerSession(const ServerSession&) = delete;
     ServerSession& operator=(const ServerSession&) = delete;
@@ -190,7 +192,7 @@ public:
 
     /// Blocks until every submitted job has finished emitting (the EOF
     /// path of sweep_server; quit calls this internally).
-    void drain();
+    void drain() EXCLUDES(in_flight_mutex_);
 
     /// False once any verify_serial check has failed (sweep_server exits
     /// non-zero on this).
@@ -199,14 +201,12 @@ public:
     }
 
 private:
-    struct Emitter; ///< one per-job event-stream thread
+    class JobStream; ///< one job's JobObserver: builds and emits its lines
 
     void emit(const JsonValue::Object& obj) EXCLUDES(sink_mutex_);
     void emit_error(const std::string& id, const std::string& message);
     void submit_job(const JsonValue& v);
-    void emit_job_events(JobHandle handle);
     void emit_stats();
-    void reap_finished_emitters_locked() REQUIRES(emitters_mutex_);
 
     SweepService& service_;
     /// Immutable after construction; sink_mutex_ serialises *invocations*
@@ -214,6 +214,13 @@ private:
     LineSink sink_;
     Mutex sink_mutex_;
     std::atomic<bool> all_verified_{true};
+
+    /// Jobs acknowledged with `queued` whose job_done (or error) has not
+    /// been emitted yet; drain() waits for zero.
+    Mutex in_flight_mutex_;
+    CondVar in_flight_cv_;
+    std::size_t in_flight_ GUARDED_BY(in_flight_mutex_) = 0;
+
     std::unique_ptr<JobScheduler> scheduler_;
 
     // Heartbeat thread (protocol v3 liveness; only when
@@ -222,17 +229,6 @@ private:
     Mutex heartbeat_mutex_;
     CondVar heartbeat_cv_;
     bool heartbeat_stop_ GUARDED_BY(heartbeat_mutex_) = false;
-
-    Mutex emitters_mutex_;
-    std::vector<std::unique_ptr<Emitter>> emitters_ GUARDED_BY(emitters_mutex_);
-
-    /// Pre-submit cancel window: SPICE decode takes milliseconds, and a
-    /// concurrent cancel() for the job being decoded must not be dropped
-    /// (the fan-out driver sends its cancel exactly once).
-    Mutex precancel_mutex_;
-    std::string decoding_id_ GUARDED_BY(precancel_mutex_);
-    bool decoding_active_ GUARDED_BY(precancel_mutex_) = false;
-    bool decoding_cancelled_ GUARDED_BY(precancel_mutex_) = false;
 };
 
 } // namespace xysig::server

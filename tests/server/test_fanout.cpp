@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -306,6 +307,114 @@ TEST(FanoutDriver, CancellationFansOutAndKeepsAscendingOrder) {
     for (std::size_t i = 0; i < 10; ++i)
         EXPECT_EQ(order[i], i);
     EXPECT_FALSE(summary.verify_ran); // nothing to compare a partial stream to
+}
+
+/// Wraps a transport: records every line the driver sends into `sent`, and
+/// passes every line the peer emits through `rewrite` (when set).
+class TappedTransport final : public Transport {
+public:
+    using Rewrite = std::function<std::string(const std::string&)>;
+
+    TappedTransport(std::unique_ptr<Transport> base,
+                    std::shared_ptr<std::vector<std::string>> sent,
+                    Rewrite rewrite)
+        : base_(std::move(base)), sent_(std::move(sent)),
+          rewrite_(std::move(rewrite)) {}
+
+    bool send_line(const std::string& line) override {
+        sent_->push_back(line);
+        return base_->send_line(line);
+    }
+    ReadStatus read_line(std::string& out, double timeout_seconds) override {
+        const ReadStatus status = base_->read_line(out, timeout_seconds);
+        if (status == ReadStatus::line && rewrite_)
+            out = rewrite_(out);
+        return status;
+    }
+    void shutdown() override { base_->shutdown(); }
+    [[nodiscard]] std::string describe() const override {
+        return "tapped " + base_->describe();
+    }
+
+private:
+    std::unique_ptr<Transport> base_;
+    std::shared_ptr<std::vector<std::string>> sent_;
+    Rewrite rewrite_;
+};
+
+/// Loopback peers behind TappedTransport; `logs` gets one sent-line log
+/// per transport made (the driver serialises factory calls, and each log
+/// is written only by its own partition thread).
+[[nodiscard]] FanoutDriver::TransportFactory
+tapped_factory(std::vector<std::shared_ptr<std::vector<std::string>>>& logs,
+               TappedTransport::Rewrite rewrite = {}) {
+    auto base = loopback_factory();
+    return [&logs, base, rewrite] {
+        logs.push_back(std::make_shared<std::vector<std::string>>());
+        return std::make_unique<TappedTransport>(base(), logs.back(), rewrite);
+    };
+}
+
+TEST(FanoutDriver, EveryCancelNamesItsPartitionJob) {
+    // An id-less cancel only reaches the job the peer is running; one that
+    // lands while the partition job is still queued there would be lost.
+    const std::string job =
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":2000},"shard_size":4})";
+    FanoutOptions opts;
+    opts.partitions = 2;
+    std::vector<std::shared_ptr<std::vector<std::string>>> logs;
+    FanoutDriver driver(tapped_factory(logs), opts);
+
+    SweepCancelToken cancel;
+    std::size_t delivered = 0;
+    const FanoutSummary summary = driver.run(
+        job,
+        [&](const FanoutRecord&) {
+            if (++delivered == 10)
+                cancel.cancel();
+        },
+        &cancel);
+    EXPECT_TRUE(summary.cancelled);
+
+    std::size_t cancels = 0;
+    for (const auto& log : logs) {
+        std::string job_id;
+        for (const std::string& line : *log) {
+            const JsonValue v = JsonValue::parse(line);
+            if (v.has("job"))
+                job_id = v.at("id").as_string();
+            if (v.string_or("cmd", "") != "cancel")
+                continue;
+            ++cancels;
+            EXPECT_FALSE(job_id.empty()) << line;
+            EXPECT_EQ(v.string_or("id", ""), job_id) << line;
+        }
+    }
+    EXPECT_GE(cancels, 1u);
+}
+
+TEST(FanoutDriver, MalformedNdfHexMarksThePeerDead) {
+    // A result whose ndf_hex is not one whole number is a malformed event:
+    // the peer is dead, and with one attempt the run fails instead of
+    // merging a made-up NDF.
+    const std::string job = R"({"job":"deviations","deviations":[-10,0,10]})";
+    for (const std::string bad : {"bogus", "0x1p+0junk", ""}) {
+        std::vector<std::shared_ptr<std::vector<std::string>>> logs;
+        const auto rewrite = [bad](const std::string& line) {
+            const JsonValue v = JsonValue::parse(line);
+            if (v.string_or("event", "") != "result")
+                return line;
+            JsonValue::Object o = v.as_object();
+            o.insert_or_assign("ndf_hex", JsonValue(bad));
+            return JsonValue(std::move(o)).dump();
+        };
+        FanoutOptions opts;
+        opts.partitions = 1;
+        opts.max_attempts = 1;
+        FanoutDriver driver(tapped_factory(logs, rewrite), opts);
+        EXPECT_THROW((void)driver.run(job, [](const FanoutRecord&) {}), Error)
+            << "ndf_hex \"" << bad << "\"";
+    }
 }
 
 TEST(FanoutDriver, RejectsJobsWithAnExplicitMemberRange) {

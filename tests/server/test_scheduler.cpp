@@ -3,18 +3,23 @@
 // any queue depth, fair-share round-robin across client ids, strict
 // priority ordering (no inversion), whole-job cache hits that stream with
 // zero netlist clones, and clean cancellation of queued and running jobs —
-// including scheduler teardown with a backlog.
+// including scheduler teardown with a backlog. Every job's observer calls
+// arrive in order and never overlap.
 
 #include "server/scheduler.h"
 
+#include <atomic>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
-#include <thread>
+#include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,22 +51,107 @@ WireJob wire_job(const std::string& line) {
     return parse_wire_job(JsonValue::parse(line));
 }
 
-std::vector<SweepResult> drain(JobHandle& handle) {
-    std::vector<SweepResult> out;
-    SweepResult r;
-    while (handle.next(r))
-        out.push_back(std::move(r));
-    return out;
-}
+/// Records one job's observer calls. Results are stored under the local
+/// member id the scheduler passes; `trace` spells the call order
+/// (q = queued, s = started, r = result, d = done), and `overlapped`
+/// catches two calls running at once.
+class Collector final : public JobObserver {
+public:
+    /// Runs on the delivering thread after each result is recorded.
+    std::function<void(std::size_t delivered)> on_result;
 
-/// Stats for dispatcher-run jobs land moments after the handle closes (the
-/// dispatcher accounts on its own thread once execute returns); tests that
-/// assert on Stats after a drain poll for the expected value first.
-void wait_for(const std::function<bool()>& pred) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (!pred() && std::chrono::steady_clock::now() < deadline)
-        std::this_thread::yield();
+    void queued(bool cached) override {
+        const Call call(*this, 'q');
+        MutexLock lock(m_);
+        cached_ = cached;
+    }
+    void started() override { const Call call(*this, 's'); }
+    void result(std::size_t member, const SweepResult& r) override {
+        const Call call(*this, 'r');
+        SweepResult local = r;
+        local.member_id = member;
+        std::size_t delivered = 0;
+        {
+            MutexLock lock(m_);
+            results_.push_back(std::move(local));
+            delivered = results_.size();
+        }
+        if (on_result)
+            on_result(delivered);
+    }
+    void done(const JobOutcome& out) override {
+        const Call call(*this, 'd');
+        MutexLock lock(m_);
+        outcome_ = out;
+        cv_.notify_all();
+    }
+
+    /// Blocks until done; returns the results in delivery order.
+    std::vector<SweepResult> wait() {
+        MutexLock lock(m_);
+        cv_.wait(lock, [this]() REQUIRES(m_) { return outcome_.has_value(); });
+        return results_;
+    }
+    JobOutcome outcome() {
+        (void)wait();
+        MutexLock lock(m_);
+        return *outcome_;
+    }
+    [[nodiscard]] bool is_done() {
+        MutexLock lock(m_);
+        return outcome_.has_value();
+    }
+    [[nodiscard]] bool cached() {
+        MutexLock lock(m_);
+        return cached_;
+    }
+    /// The calls so far, one letter each.
+    [[nodiscard]] std::string trace() {
+        MutexLock lock(m_);
+        return trace_;
+    }
+    /// queued, then either done alone (dequeued before it ran) or
+    /// started, results, done — and no two calls at once.
+    [[nodiscard]] bool well_ordered() {
+        const std::string t = trace();
+        if (overlapped_.load())
+            return false;
+        if (t == "qd")
+            return true;
+        return t.size() >= 3 && t.rfind("qs", 0) == 0 && t.back() == 'd' &&
+               t.find_first_not_of('r', 2) == t.size() - 1;
+    }
+
+private:
+    /// Marks one observer call: flags overlap, appends to the trace.
+    struct Call {
+        Call(Collector& c, char letter) : c_(c) {
+            if (c_.active_.fetch_add(1) != 0)
+                c_.overlapped_.store(true);
+            MutexLock lock(c_.m_);
+            c_.trace_.push_back(letter);
+        }
+        ~Call() { c_.active_.fetch_sub(1); }
+        Call(const Call&) = delete;
+        Call& operator=(const Call&) = delete;
+        Collector& c_;
+    };
+
+    std::atomic<int> active_{0};
+    std::atomic<bool> overlapped_{false};
+    Mutex m_;
+    CondVar cv_;
+    std::vector<SweepResult> results_ GUARDED_BY(m_);
+    std::optional<JobOutcome> outcome_ GUARDED_BY(m_);
+    bool cached_ GUARDED_BY(m_) = false;
+    std::string trace_ GUARDED_BY(m_);
+};
+
+std::shared_ptr<Collector> submit(JobScheduler& sched, const std::string& line,
+                                  JobScheduler::SubmitOptions opts = {}) {
+    auto collector = std::make_shared<Collector>();
+    sched.submit(wire_job(line), std::move(opts), collector);
+    return collector;
 }
 
 /// Serial reference of a decoded job straight through the service — the
@@ -97,27 +187,27 @@ TEST(JobScheduler, FairShareRoundRobinAcrossClients) {
     JobScheduler sched(service, opts);
     sched.set_paused(true);
 
-    const auto submit = [&](const std::string& client) {
+    const auto submit_for = [&](const std::string& client) {
         JobScheduler::SubmitOptions so;
         so.client = client;
-        return sched.submit(
-            wire_job(R"({"job":"deviations","deviations":[-5,5]})"), so);
+        return submit(sched, R"({"job":"deviations","deviations":[-5,5]})", so);
     };
     // Client A floods four jobs before B and C submit two each.
-    std::vector<JobHandle> handles;
+    std::vector<std::shared_ptr<Collector>> jobs;
     for (int i = 0; i < 4; ++i)
-        handles.push_back(submit("A"));
+        jobs.push_back(submit_for("A"));
     for (int i = 0; i < 2; ++i)
-        handles.push_back(submit("B"));
+        jobs.push_back(submit_for("B"));
     for (int i = 0; i < 2; ++i)
-        handles.push_back(submit("C"));
+        jobs.push_back(submit_for("C"));
     EXPECT_EQ(sched.stats().queue_depth, 8u);
     sched.set_paused(false);
 
     std::vector<std::uint64_t> seq;
-    for (JobHandle& h : handles) {
-        EXPECT_EQ(drain(h).size(), 2u);
-        seq.push_back(h.outcome().run_sequence);
+    for (const auto& job : jobs) {
+        EXPECT_EQ(job->wait().size(), 2u);
+        EXPECT_TRUE(job->well_ordered()) << job->trace();
+        seq.push_back(job->outcome().run_sequence);
     }
     // Round-robin across A, B, C at equal priority — A's flood cannot
     // starve B or C: A1 B1 C1 A2 B2 C2 A3 A4.
@@ -128,7 +218,7 @@ TEST(JobScheduler, FairShareRoundRobinAcrossClients) {
     EXPECT_EQ(b, (std::vector<std::uint64_t>{2, 5}));
     EXPECT_EQ(c, (std::vector<std::uint64_t>{3, 6}));
 
-    wait_for([&] { return sched.stats().completed >= 8; });
+    // A job is counted before its done call, so the totals are final here.
     const auto stats = sched.stats();
     EXPECT_EQ(stats.submitted, 8u);
     EXPECT_EQ(stats.completed, 8u);
@@ -142,30 +232,27 @@ TEST(JobScheduler, PriorityOrdersDispatchWithoutInversion) {
     JobScheduler sched(service, opts);
     sched.set_paused(true);
 
-    const auto submit = [&](int priority, const std::string& client) {
+    const auto submit_at = [&](int priority, const std::string& client) {
         JobScheduler::SubmitOptions so;
         so.priority = priority;
         so.client = client;
-        return sched.submit(
-            wire_job(R"({"job":"deviations","deviations":[-5,5]})"), so);
+        return submit(sched, R"({"job":"deviations","deviations":[-5,5]})", so);
     };
     // Submission order deliberately scrambles priorities, and the flood
     // client's low-priority backlog precedes the high-priority late job:
     // fairness must never override priority.
-    std::vector<JobHandle> handles;
+    std::vector<std::shared_ptr<Collector>> jobs;
     std::vector<int> priorities = {0, 0, 5, -3, 5};
-    handles.push_back(submit(0, "flood"));
-    handles.push_back(submit(0, "flood"));
-    handles.push_back(submit(5, "flood"));
-    handles.push_back(submit(-3, "background"));
-    handles.push_back(submit(5, "late")); // arrives last, still beats 0s
+    jobs.push_back(submit_at(0, "flood"));
+    jobs.push_back(submit_at(0, "flood"));
+    jobs.push_back(submit_at(5, "flood"));
+    jobs.push_back(submit_at(-3, "background"));
+    jobs.push_back(submit_at(5, "late")); // arrives last, still beats 0s
     sched.set_paused(false);
 
     std::vector<std::uint64_t> seq;
-    for (JobHandle& h : handles) {
-        (void)drain(h);
-        seq.push_back(h.outcome().run_sequence);
-    }
+    for (const auto& job : jobs)
+        seq.push_back(job->outcome().run_sequence);
     // No inversion: for every pair queued together, the strictly-higher
     // priority ran strictly earlier.
     for (std::size_t i = 0; i < seq.size(); ++i)
@@ -184,34 +271,37 @@ TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
     JobScheduler sched(service, JobScheduler::Options{});
 
     const std::string line = R"({"job":"spice_faults","id":"s1"})";
-    JobHandle first = sched.submit(wire_job(line));
-    const std::vector<SweepResult> reference = drain(first);
+    const auto first = submit(sched, line);
+    const std::vector<SweepResult> reference = first->wait();
     ASSERT_FALSE(reference.empty());
-    EXPECT_EQ(first.outcome().state, JobState::done);
-    EXPECT_FALSE(first.outcome().from_cache);
+    EXPECT_EQ(first->outcome().state, JobState::done);
+    EXPECT_FALSE(first->outcome().from_cache);
+    EXPECT_FALSE(first->cached());
     bool any_nan = false;
     for (const SweepResult& r : reference)
         any_nan = any_nan || std::isnan(r.ndf);
     EXPECT_TRUE(any_nan); // the universe contains unsolvable members
 
-
     // Exact resubmit: bit-identical replay, no queue wait, no worker — the
     // netlist clone counter must not move at all (decoded up front so the
-    // probe brackets only the submit-and-stream window).
+    // probe brackets only the submit-and-stream window). A submit-time hit
+    // streams in full on the submitting thread, so it is done on return.
     WireJob resubmit = wire_job(line);
     const std::uint64_t clones_before = spice::Netlist::clone_count();
-    JobHandle again = sched.submit(std::move(resubmit));
-    EXPECT_TRUE(again.from_cache());
-    const std::vector<SweepResult> replayed = drain(again);
+    auto again = std::make_shared<Collector>();
+    sched.submit(std::move(resubmit), {}, again);
+    EXPECT_TRUE(again->is_done());
+    EXPECT_TRUE(again->cached());
+    EXPECT_TRUE(again->well_ordered()) << again->trace();
+    const std::vector<SweepResult> replayed = again->wait();
     EXPECT_EQ(spice::Netlist::clone_count(), clones_before);
     expect_same_stream(replayed, reference, "cached spice resubmit");
-    const JobOutcome out = again.outcome();
+    const JobOutcome out = again->outcome();
     EXPECT_EQ(out.state, JobState::done);
     EXPECT_TRUE(out.from_cache);
     EXPECT_EQ(out.run_sequence, 0u); // never touched the service
     EXPECT_EQ(out.summary.netlist_clones, 0u);
 
-    wait_for([&] { return sched.stats().completed >= 2; });
     const auto stats = sched.stats();
     EXPECT_EQ(stats.submitted, 2u);
     EXPECT_EQ(stats.completed, 2u);
@@ -223,18 +313,20 @@ TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
     JobScheduler sched(service, JobScheduler::Options{});
 
-    JobHandle full = sched.submit(wire_job(
-        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":11}})"));
-    const std::vector<SweepResult> reference = drain(full);
+    const std::vector<SweepResult> reference =
+        submit(sched,
+               R"({"job":"deviations","grid":{"from":-20,"to":20,"count":11}})")
+            ->wait();
     ASSERT_EQ(reference.size(), 11u);
 
     // A fan-out slice of the SAME universe (grid spelled as the explicit
     // list — the content key is over materialised values) hits the cached
     // superset and streams under local ids.
-    JobHandle slice = sched.submit(wire_job(
-        R"({"job":"deviations","deviations":[-20,-16,-12,-8,-4,0,4,8,12,16,20],"members":{"first":3,"count":4}})"));
-    EXPECT_TRUE(slice.from_cache());
-    const std::vector<SweepResult> sliced = drain(slice);
+    const auto slice = submit(
+        sched,
+        R"({"job":"deviations","deviations":[-20,-16,-12,-8,-4,0,4,8,12,16,20],"members":{"first":3,"count":4}})");
+    EXPECT_TRUE(slice->cached());
+    const std::vector<SweepResult> sliced = slice->wait();
     ASSERT_EQ(sliced.size(), 4u);
     for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(sliced[i].member_id, i); // local ids, offset 3 on the wire
@@ -242,10 +334,10 @@ TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
         EXPECT_EQ(sliced[i].label, reference[3 + i].label);
     }
     // A slice past the cached span runs for real (and is then cached).
-    JobHandle wider = sched.submit(wire_job(
-        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":12}})"));
-    EXPECT_FALSE(wider.from_cache());
-    EXPECT_EQ(drain(wider).size(), 12u);
+    const auto wider = submit(
+        sched, R"({"job":"deviations","grid":{"from":-20,"to":20,"count":12}})");
+    EXPECT_FALSE(wider->cached());
+    EXPECT_EQ(wider->wait().size(), 12u);
     EXPECT_EQ(sched.stats().cache_hits, 1u);
 }
 
@@ -264,38 +356,30 @@ TEST(JobScheduler, InterleavedQueueBitIdenticalToSerialIncludingNaNs) {
     for (const std::string& line : lines)
         references.push_back(serial_reference(service, wire_job(line)));
 
-    // Queue everything at once from two clients with mixed priorities and
-    // drain every handle from its own consumer thread — maximum interleave.
+    // Queue everything at once from two clients with mixed priorities.
     JobScheduler sched(service, JobScheduler::Options{});
-    std::vector<JobHandle> handles;
+    std::vector<std::shared_ptr<Collector>> jobs;
     for (std::size_t i = 0; i < lines.size(); ++i) {
         JobScheduler::SubmitOptions so;
         so.client = i % 2 == 0 ? "alice" : "bob";
         so.priority = static_cast<int>(i % 3);
-        handles.push_back(sched.submit(wire_job(lines[i]), so));
+        jobs.push_back(submit(sched, lines[i], so));
     }
-    std::vector<std::vector<SweepResult>> streamed(handles.size());
-    std::vector<std::thread> consumers;
-    for (std::size_t i = 0; i < handles.size(); ++i)
-        consumers.emplace_back(
-            [&, i] { streamed[i] = drain(handles[i]); });
-    for (std::thread& t : consumers)
-        t.join();
 
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-        expect_same_stream(streamed[i], references[i], "job " + lines[i]);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::vector<SweepResult> streamed = jobs[i]->wait();
+        expect_same_stream(streamed, references[i], "job " + lines[i]);
         // Ascending, gap-free member order per job regardless of queue
         // interleaving.
-        for (std::size_t m = 0; m < streamed[i].size(); ++m)
-            ASSERT_EQ(streamed[i][m].member_id, m) << lines[i];
-        EXPECT_EQ(handles[i].outcome().state, JobState::done);
+        for (std::size_t m = 0; m < streamed.size(); ++m)
+            ASSERT_EQ(streamed[m].member_id, m) << lines[i];
+        EXPECT_EQ(jobs[i]->outcome().state, JobState::done);
+        EXPECT_TRUE(jobs[i]->well_ordered()) << jobs[i]->trace();
     }
     // Of the two identical d1 jobs, whichever the priority/fair-share
     // order dispatched second was served by the cache (the dispatch-time
     // re-check) — and its stream was still bit-identical above.
-    EXPECT_NE(handles[0].outcome().from_cache,
-              handles[3].outcome().from_cache);
-    wait_for([&] { return sched.stats().cache_hits >= 1; });
+    EXPECT_NE(jobs[0]->outcome().from_cache, jobs[3]->outcome().from_cache);
     EXPECT_GE(sched.stats().cache_hits, 1u);
 }
 
@@ -306,32 +390,30 @@ TEST(JobScheduler, QueuedJobsCancelWithoutRunning) {
     JobScheduler sched(service, opts);
     sched.set_paused(true);
 
-    JobHandle keep = sched.submit(
-        wire_job(R"({"job":"deviations","id":"keep","deviations":[-5,5]})"));
-    JobHandle by_handle = sched.submit(
-        wire_job(R"({"job":"deviations","id":"h","deviations":[-5,5]})"));
-    JobHandle by_id = sched.submit(
-        wire_job(R"({"job":"deviations","id":"w","deviations":[-5,5]})"));
-    by_handle.cancel();
+    const auto keep =
+        submit(sched, R"({"job":"deviations","id":"keep","deviations":[-5,5]})");
+    const auto first =
+        submit(sched, R"({"job":"deviations","id":"h","deviations":[-5,5]})");
+    const auto second =
+        submit(sched, R"({"job":"deviations","id":"w","deviations":[-5,5]})");
+    sched.cancel("h");
     sched.cancel("w");
-    // "w" was dequeued on the spot; a handle-cancel leaves a finalised
-    // record in place for the dispatcher to skip, so it still counts here.
-    EXPECT_EQ(sched.stats().queue_depth, 2u);
-    sched.set_paused(false);
-
-    for (JobHandle* h : {&by_handle, &by_id}) {
-        EXPECT_TRUE(drain(*h).empty());
-        EXPECT_TRUE(h->cancelled_before_start());
-        const JobOutcome out = h->outcome();
+    // Both were dequeued on the spot, and their done ran on this thread.
+    EXPECT_EQ(sched.stats().queue_depth, 1u);
+    for (const auto& job : {first, second}) {
+        EXPECT_TRUE(job->is_done());
+        EXPECT_TRUE(job->wait().empty());
+        EXPECT_EQ(job->trace(), "qd"); // never started
+        const JobOutcome out = job->outcome();
         EXPECT_EQ(out.state, JobState::cancelled);
         EXPECT_EQ(out.run_sequence, 0u); // the service never saw it
+        EXPECT_EQ(out.summary.members_total, 2u);
+        EXPECT_EQ(out.summary.members_done, 0u);
     }
-    EXPECT_EQ(drain(keep).size(), 2u);
-    EXPECT_EQ(keep.outcome().state, JobState::done);
-    wait_for([&] {
-        const auto s = sched.stats();
-        return s.cancelled >= 2 && s.completed >= 1;
-    });
+    sched.set_paused(false);
+
+    EXPECT_EQ(keep->wait().size(), 2u);
+    EXPECT_EQ(keep->outcome().state, JobState::done);
     const auto stats = sched.stats();
     EXPECT_EQ(stats.cancelled, 2u);
     EXPECT_EQ(stats.completed, 1u);
@@ -343,33 +425,35 @@ TEST(JobScheduler, RunningJobCancelsCooperativelyKeepsOrder) {
     opts.cache_capacity = 0;
     JobScheduler sched(service, opts);
 
-    JobHandle h = sched.submit(wire_job(
-        R"({"job":"deviations","id":"big","grid":{"from":-20,"to":20,"count":2000}})"));
-    h.wait_until_started();
-    // Cancel through the wire-level path after a few results have streamed.
-    std::vector<SweepResult> got;
-    SweepResult r;
-    while (got.size() < 5 && h.next(r))
-        got.push_back(r);
-    sched.cancel("big");
-    while (h.next(r))
-        got.push_back(r);
+    // Cancel through the wire-level path after a few results have
+    // streamed, from inside the result call itself: no scheduler lock is
+    // held while an observer runs.
+    auto big = std::make_shared<Collector>();
+    big->on_result = [&sched](std::size_t delivered) {
+        if (delivered == 5)
+            sched.cancel("big");
+    };
+    sched.submit(
+        wire_job(R"({"job":"deviations","id":"big","grid":{"from":-20,"to":20,"count":2000}})"),
+        {}, big);
+    const std::vector<SweepResult> got = big->wait();
 
-    const JobOutcome out = h.outcome();
+    const JobOutcome out = big->outcome();
     EXPECT_EQ(out.state, JobState::cancelled);
     EXPECT_TRUE(out.summary.cancelled);
     EXPECT_GE(got.size(), 5u);
     EXPECT_LT(got.size(), 2000u); // dispatch really stopped
     for (std::size_t i = 1; i < got.size(); ++i)
         EXPECT_LT(got[i - 1].member_id, got[i].member_id);
-    wait_for([&] { return sched.stats().cancelled >= 1; });
+    EXPECT_TRUE(big->well_ordered()) << big->trace();
     EXPECT_EQ(sched.stats().cancelled, 1u);
     // A cancelled job never poisons the cache: resubmitting runs fresh.
-    JobHandle again = sched.submit(wire_job(
-        R"({"job":"deviations","id":"big2","grid":{"from":-20,"to":20,"count":2000}})"));
-    EXPECT_FALSE(again.from_cache());
-    again.cancel();
-    (void)drain(again);
+    const auto again = submit(
+        sched,
+        R"({"job":"deviations","id":"big2","grid":{"from":-20,"to":20,"count":2000}})");
+    EXPECT_FALSE(again->cached());
+    sched.cancel("big2");
+    EXPECT_EQ(again->outcome().state, JobState::cancelled);
 }
 
 TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
@@ -384,74 +468,75 @@ TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
         R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9}})";
     const std::string fast_line =
         R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9},"fast_math":true})";
-    JobHandle exact = sched.submit(wire_job(exact_line));
-    const std::vector<SweepResult> exact_ref = drain(exact);
+    const std::vector<SweepResult> exact_ref =
+        submit(sched, exact_line)->wait();
     ASSERT_EQ(exact_ref.size(), 9u);
 
-    JobHandle fast = sched.submit(wire_job(fast_line));
-    EXPECT_FALSE(fast.from_cache());
-    const std::vector<SweepResult> fast_ref = drain(fast);
+    const auto fast = submit(sched, fast_line);
+    EXPECT_FALSE(fast->cached());
+    const std::vector<SweepResult> fast_ref = fast->wait();
     ASSERT_EQ(fast_ref.size(), 9u);
-    EXPECT_EQ(fast.outcome().state, JobState::done);
+    EXPECT_EQ(fast->outcome().state, JobState::done);
 
     // Within one mode, replay works as usual — and each mode replays its
     // own stream bit for bit.
-    JobHandle exact_again = sched.submit(wire_job(exact_line));
-    EXPECT_TRUE(exact_again.from_cache());
-    expect_same_stream(drain(exact_again), exact_ref, "exact replay");
-    JobHandle fast_again = sched.submit(wire_job(fast_line));
-    EXPECT_TRUE(fast_again.from_cache());
-    expect_same_stream(drain(fast_again), fast_ref, "fast_math replay");
-
-    wait_for([&] { return sched.stats().completed >= 4; });
+    const auto exact_again = submit(sched, exact_line);
+    EXPECT_TRUE(exact_again->cached());
+    expect_same_stream(exact_again->wait(), exact_ref, "exact replay");
+    const auto fast_again = submit(sched, fast_line);
+    EXPECT_TRUE(fast_again->cached());
+    expect_same_stream(fast_again->wait(), fast_ref, "fast_math replay");
     EXPECT_EQ(sched.stats().cache_hits, 2u);
 
     // Wire jobs always pin the mode, so an exact job queued behind the
     // fast_math one evaluates exact — the fast job's mode never leaks.
-    JobHandle after = sched.submit(wire_job(
-        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":10}})"));
-    EXPECT_FALSE(after.from_cache());
-    EXPECT_EQ(drain(after).size(), 10u);
+    const auto after = submit(
+        sched, R"({"job":"deviations","grid":{"from":-10,"to":10,"count":10}})");
+    EXPECT_FALSE(after->cached());
+    EXPECT_EQ(after->wait().size(), 10u);
     EXPECT_FALSE(service.pipeline().options().fast_math);
 }
 
 TEST(JobScheduler, VerifySerialRunsOnTheDispatcherThread) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
     JobScheduler sched(service, JobScheduler::Options{});
-    JobHandle h = sched.submit(wire_job(
-        R"({"job":"deviations","verify_serial":true,"grid":{"from":-10,"to":10,"count":16}})"));
-    EXPECT_EQ(drain(h).size(), 16u);
-    const JobOutcome out = h.outcome();
+    const std::string line =
+        R"({"job":"deviations","verify_serial":true,"grid":{"from":-10,"to":10,"count":16}})";
+    const auto job = submit(sched, line);
+    EXPECT_EQ(job->wait().size(), 16u);
+    const JobOutcome out = job->outcome();
     EXPECT_EQ(out.state, JobState::done);
     EXPECT_TRUE(out.verify_ran);
     EXPECT_TRUE(out.verified);
     EXPECT_EQ(out.verify_members, 16u);
     // verify_serial is a test instrument: it must bypass the cache in both
     // directions, so a repeat verifies for real again.
-    JobHandle repeat = sched.submit(wire_job(
-        R"({"job":"deviations","verify_serial":true,"grid":{"from":-10,"to":10,"count":16}})"));
-    EXPECT_EQ(drain(repeat).size(), 16u);
-    EXPECT_FALSE(repeat.outcome().from_cache);
-    EXPECT_TRUE(repeat.outcome().verify_ran);
+    const auto repeat = submit(sched, line);
+    EXPECT_EQ(repeat->wait().size(), 16u);
+    EXPECT_FALSE(repeat->outcome().from_cache);
+    EXPECT_TRUE(repeat->outcome().verify_ran);
     EXPECT_EQ(sched.stats().cache_hits, 0u);
 }
 
-TEST(JobScheduler, DestructorCancelsBacklogAndHandlesStayValid) {
+TEST(JobScheduler, DestructorCancelsBacklogAndEveryJobGetsDone) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
-    std::vector<JobHandle> handles;
+    std::vector<std::shared_ptr<Collector>> jobs;
     {
         JobScheduler::Options opts;
         opts.cache_capacity = 0;
         JobScheduler sched(service, opts);
         sched.set_paused(true);
         for (int i = 0; i < 3; ++i)
-            handles.push_back(sched.submit(wire_job(
-                R"({"job":"deviations","grid":{"from":-20,"to":20,"count":500}})")));
+            jobs.push_back(submit(
+                sched,
+                R"({"job":"deviations","grid":{"from":-20,"to":20,"count":500}})"));
         // Destroyed with a full backlog: must not hang or leak threads.
     }
-    for (JobHandle& h : handles) {
-        EXPECT_TRUE(drain(h).empty());
-        EXPECT_EQ(h.outcome().state, JobState::cancelled);
+    for (const auto& job : jobs) {
+        EXPECT_TRUE(job->is_done());
+        EXPECT_TRUE(job->wait().empty());
+        EXPECT_EQ(job->outcome().state, JobState::cancelled);
+        EXPECT_EQ(job->trace(), "qd"); // done exactly once
     }
     // The service survives its scheduler: direct runs still work.
     std::size_t delivered = 0;
@@ -666,6 +751,45 @@ TEST(ServerSession, DomainErrorIsOneErrorEventWithoutSourcePath) {
             << lines[0];
         EXPECT_NO_THROW(check_protocol_line(lines[0])) << lines[0];
     }
+}
+
+/// Threads of this process, or nullopt where /proc/self/task is absent.
+std::optional<std::size_t> thread_count() {
+    std::error_code ec;
+    std::filesystem::directory_iterator it("/proc/self/task", ec);
+    if (ec)
+        return std::nullopt;
+    return static_cast<std::size_t>(
+        std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+// A deep queue costs no threads: each job's events are emitted by the
+// thread that produces them, not by a thread of its own.
+TEST(ServerSession, QueuedJobsAddNoThreads) {
+    if (!thread_count())
+        GTEST_SKIP() << "/proc/self/task is not available";
+    SweepService service(make_pipeline(), {.workers = 1, .shard_size = 8});
+    const std::size_t before = *thread_count();
+    std::size_t during = 0;
+    const std::vector<std::string> lines =
+        session_lines(service, [&](ServerSession& session) {
+            ASSERT_TRUE(session.handle_line(
+                R"({"job":"deviations","id":"long","grid":{"from":-20,"to":20,"count":100000}})"));
+            for (int i = 0; i < 64; ++i)
+                ASSERT_TRUE(session.handle_line(
+                    R"({"job":"deviations","id":"q)" + std::to_string(i) +
+                    R"(","deviations":[)" + std::to_string(i) + "]}"));
+            during = *thread_count();
+            ASSERT_TRUE(session.handle_line(R"({"cmd":"cancel","id":"long"})"));
+        });
+    // The session's dispatcher, plus one pool thread if it starts lazily.
+    EXPECT_LE(during, before + 2) << "before " << before;
+
+    std::size_t job_done = 0;
+    for (const std::string& l : lines)
+        if (JsonValue::parse(l).at("event").as_string() == "job_done")
+            ++job_done;
+    EXPECT_EQ(job_done, 65u);
 }
 
 } // namespace
