@@ -1,10 +1,12 @@
 // Sweep-service scaling report: the sharded SweepService versus the serial
-// scratch-path reference, across (shard size x worker count) combinations,
-// on a behavioural deviation grid and on the Tow-Thomas SPICE fault
-// universe. Every combination is gated on bit-identity with the serial NDFs
-// (nonzero exit when any result diverges, so CI can rely on the exit code)
-// and the SPICE rows additionally gate on the clone-per-worker contract via
-// the Netlist::clone_count() probe.
+// scratch-path reference on a behavioural deviation grid and on the
+// Tow-Thomas SPICE fault universe. Each worker count runs twice: once at
+// the service's default shard policy ("auto" in the table, shard_size 0 in
+// the JSON) and once at an explicit per-job shard size that still gives
+// every worker a shard. Every row is gated on bit-identity with the serial
+// NDFs (nonzero exit when any result diverges, so CI can rely on the exit
+// code) and the SPICE rows additionally gate on the clone-per-worker
+// contract via JobSummary::netlist_clones.
 //
 // Flags: --smoke (reduced sizes for CI), --json=PATH (machine-readable
 // summary; default bench_sweep_service.json).
@@ -34,13 +36,14 @@ namespace {
 using namespace xysig;
 
 struct Combo {
-    std::size_t shard_size;
-    unsigned workers;
+    std::size_t shard_size; ///< 0 = the service's shard policy
+    unsigned workers;       ///< 0 = the serial reference row
 };
 
 struct Row {
     std::string workload;
     Combo combo{};
+    std::size_t shards = 0;
     double seconds = 0.0;
     double members_per_s = 0.0;
     double speedup = 1.0;
@@ -87,6 +90,7 @@ void write_json(const std::string& path, bool smoke, std::size_t grid_size,
         const Row& r = rows[i];
         out << "    {\"workload\": \"" << r.workload << "\", \"shard_size\": "
             << r.combo.shard_size << ", \"workers\": " << r.combo.workers
+            << ", \"shards\": " << r.shards
             << ", \"seconds\": " << format_double(r.seconds, 6)
             << ", \"members_per_s\": " << format_double(r.members_per_s, 6)
             << ", \"speedup\": " << format_double(r.speedup, 4)
@@ -112,7 +116,20 @@ int main(int argc, char** argv) {
 
     const std::size_t grid_size = smoke ? 400 : 4000;
     const std::size_t spp = smoke ? 256 : 1024;
-    const std::vector<Combo> combos = {{1, 1}, {16, 2}, {64, 4}, {256, 8}};
+    // One policy row and one explicit row per worker count. The explicit
+    // sizes leave at least one shard per worker on both universes (29
+    // SPICE faults, 400 or 4000 grid members).
+    const std::vector<unsigned> worker_counts = {1, 2, 4, 8};
+    const std::vector<std::size_t> grid_shards = {1, 16, 32, 32};
+    const std::vector<std::size_t> spice_shards = {1, 4, 2, 1};
+    const auto combos_for = [&](const std::vector<std::size_t>& explicit_sizes) {
+        std::vector<Combo> combos;
+        for (std::size_t i = 0; i < worker_counts.size(); ++i) {
+            combos.push_back({0, worker_counts[i]});
+            combos.push_back({explicit_sizes[i], worker_counts[i]});
+        }
+        return combos;
+    };
 
     std::cout << "=== [sweep service] sharded sweep vs serial reference, "
               << (smoke ? "smoke" : "full") << " mode ===\n";
@@ -142,28 +159,31 @@ int main(int argc, char** argv) {
                 serial[i] = serial_pipe.ndf_of(cut, scratch);
             }
         });
-        rows.push_back({"deviation grid", {0, 0}, t_serial,
+        rows.push_back({"deviation grid", {0, 0}, 1, t_serial,
                         static_cast<double>(grid_size) / t_serial, 1.0, true,
                         0});
 
-        for (const Combo combo : combos) {
-            server::SweepServiceOptions sopts;
-            sopts.workers = combo.workers;
-            sopts.shard_size = combo.shard_size;
-            server::SweepService service(make_pipeline(spp), sopts);
-            const server::SweepJob job =
+        for (const Combo combo : combos_for(grid_shards)) {
+            server::SweepService service(make_pipeline(spp),
+                                         {.workers = combo.workers});
+            server::SweepJob job =
                 server::SweepJob::deviation_grid(nominal, deviations);
+            job.shard_size = combo.shard_size;
             std::vector<double> streamed;
             streamed.reserve(grid_size);
+            std::size_t shards = 0;
             const double dt = seconds_of([&] {
                 streamed.clear();
-                (void)service.run(job, [&](const server::SweepResult& r) {
-                    streamed.push_back(r.ndf);
-                });
+                shards = service
+                             .run(job,
+                                  [&](const server::SweepResult& r) {
+                                      streamed.push_back(r.ndf);
+                                  })
+                             .shards_total;
             });
             const bool identical = same_bits(streamed, serial);
             all_identical = all_identical && identical;
-            rows.push_back({"deviation grid", combo, dt,
+            rows.push_back({"deviation grid", combo, shards, dt,
                             static_cast<double>(grid_size) / dt, t_serial / dt,
                             identical, 0});
         }
@@ -201,21 +221,21 @@ int main(int argc, char** argv) {
                 }
             }
         });
-        rows.push_back({"SPICE fault NDF", {0, 0}, t_serial,
+        rows.push_back({"SPICE fault NDF", {0, 0}, 1, t_serial,
                         static_cast<double>(fault_count) / t_serial, 1.0, true,
                         0});
 
         const auto nominal =
             std::make_shared<spice::Netlist>(circuit.netlist.clone());
-        for (const Combo combo : combos) {
-            server::SweepServiceOptions sopts;
-            sopts.workers = combo.workers;
-            sopts.shard_size = combo.shard_size;
-            server::SweepService service(make_pipeline(spp), sopts);
-            const server::SweepJob job =
+        for (const Combo combo : combos_for(spice_shards)) {
+            server::SweepService service(make_pipeline(spp),
+                                         {.workers = combo.workers});
+            server::SweepJob job =
                 server::SweepJob::fault_universe(nominal, faults, obs);
+            job.shard_size = combo.shard_size;
             std::vector<double> streamed;
             streamed.reserve(fault_count);
+            std::size_t shards = 0;
             std::uint64_t clones = 0;
             const double dt = seconds_of([&] {
                 streamed.clear();
@@ -223,23 +243,27 @@ int main(int argc, char** argv) {
                     service.run(job, [&](const server::SweepResult& r) {
                         streamed.push_back(r.ndf);
                     });
+                shards = summary.shards_total;
                 clones = summary.netlist_clones;
             });
             // Gate on bit-identity AND the clone-per-worker contract.
             const bool identical =
                 same_bits(streamed, serial) && clones <= combo.workers;
             all_identical = all_identical && identical;
-            rows.push_back({"SPICE fault NDF", combo, dt,
+            rows.push_back({"SPICE fault NDF", combo, shards, dt,
                             static_cast<double>(fault_count) / dt,
                             t_serial / dt, identical, clones});
         }
     }
 
-    TextTable t({"workload", "shard", "workers", "time (s)", "members/s",
-                 "speedup", "clones", "bit-identical"});
+    TextTable t({"workload", "shard", "shards", "workers", "time (s)",
+                 "members/s", "speedup", "clones", "bit-identical"});
     for (const Row& r : rows) {
-        t.add_row({r.workload,
-                   r.combo.workers == 0 ? "-" : std::to_string(r.combo.shard_size),
+        const std::string shard =
+            r.combo.workers == 0      ? "-"
+            : r.combo.shard_size == 0 ? "auto"
+                                      : std::to_string(r.combo.shard_size);
+        t.add_row({r.workload, shard, std::to_string(r.shards),
                    r.combo.workers == 0 ? "serial"
                                         : std::to_string(r.combo.workers),
                    format_double(r.seconds, 4), format_double(r.members_per_s, 1),

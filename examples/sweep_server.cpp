@@ -28,7 +28,7 @@
 // connection also gets its own worker pool, so one listening host can
 // serve all partitions of a `sweep_fanout --connect` run concurrently.
 //
-// Flags: --workers=N --shard-size=N --spp=N (pipeline samples per period)
+// Flags: --workers=N --spp=N (pipeline samples per period)
 //        --queue=N (max queued jobs before submit blocks)
 //        --job-cache=N (whole-job result cache entries; 0 disables)
 //        --heartbeat=SECONDS (emit v3 heartbeat events; 0 = off)
@@ -39,6 +39,9 @@
 //        --check (schema-validate stdin lines, exit non-zero on the first
 //        invalid one)
 // An unknown flag or an out-of-range value exits 2 before anything runs.
+// The service works each job's shard size out from its member count, the
+// worker count and the universe kind; a job line may set its own
+// `shard_size`.
 
 #include <charconv>
 #include <iostream>
@@ -105,7 +108,6 @@ T flag_value(std::string_view name, std::string_view text, T lo, T hi) {
 
 int main(int argc, char** argv) {
     unsigned workers = 0;
-    std::size_t shard_size = 64;
     std::size_t samples_per_period = 512;
     server::SessionOptions session_opts;
     bool check = false;
@@ -122,8 +124,6 @@ int main(int argc, char** argv) {
                 eq == std::string_view::npos ? std::string_view() : arg.substr(eq + 1);
             if (flag == "--workers")
                 workers = flag_value(flag, text, 0u, 1024u);
-            else if (flag == "--shard-size")
-                shard_size = flag_value<std::size_t>(flag, text, 1, 1u << 24);
             else if (flag == "--spp")
                 samples_per_period =
                     flag_value<std::size_t>(flag, text, 64, 1u << 20);
@@ -160,7 +160,6 @@ int main(int argc, char** argv) {
         lopts.bind_address = bind_address;
         lopts.port = listen_port;
         lopts.workers = workers;
-        lopts.shard_size = shard_size;
         lopts.samples_per_period = samples_per_period;
         lopts.session = session_opts;
         lopts.share_service = share_service;
@@ -188,7 +187,6 @@ int main(int argc, char** argv) {
 
     server::SweepServiceOptions sopts;
     sopts.workers = workers;
-    sopts.shard_size = shard_size;
     server::SweepService service(server::make_paper_pipeline(samples_per_period),
                                  sopts);
     server::ServerSession session(

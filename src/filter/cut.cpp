@@ -147,4 +147,21 @@ std::string SpiceCut::description() const {
     return "spice netlist CUT (x=" + x_node_ + ", y=" + y_node_ + ")";
 }
 
+std::string SpiceCut::cache_key() const {
+    std::string key = netlist_->fingerprint();
+    if (key.empty())
+        return {};
+    // Length-prefixed names, so no node or source name can forge a
+    // separator.
+    for (const std::string* name : {&input_source_, &x_node_, &y_node_}) {
+        key += '|';
+        key += std::to_string(name->size());
+        key += ':';
+        key += *name;
+    }
+    key += "|settle=";
+    key += std::to_string(settle_periods_);
+    return key;
+}
+
 } // namespace xysig::filter

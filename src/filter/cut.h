@@ -139,6 +139,11 @@ public:
                       std::size_t samples_per_period, std::vector<double>& xs,
                       std::vector<double>& ys, double& dt) const override;
     [[nodiscard]] std::string description() const override;
+    /// The netlist's exact fingerprint plus the input source, the x and y
+    /// nodes and settle_periods; empty when the netlist has none (a device
+    /// without a fingerprint, or an input source already driven by a
+    /// non-DC waveform).
+    [[nodiscard]] std::string cache_key() const override;
 
     [[nodiscard]] const spice::Netlist& netlist() const noexcept { return *netlist_; }
 

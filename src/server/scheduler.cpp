@@ -35,6 +35,7 @@ struct JobScheduler::Job {
     [[nodiscard]] JobOutcome cancelled_in_queue() const {
         JobOutcome out;
         out.state = JobState::cancelled;
+        out.queue_seconds = seconds_since(submitted_at);
         out.summary.members_total = wire.job.size();
         return out;
     }

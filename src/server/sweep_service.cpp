@@ -202,9 +202,16 @@ struct SweepService::JobContext {
 
 SweepService::SweepService(core::SignaturePipeline pipeline,
                            SweepServiceOptions options)
-    : pipeline_(std::move(pipeline)), options_(options),
-      pool_(options.workers) {
-    XYSIG_EXPECTS(options_.shard_size >= 1);
+    : pipeline_(std::move(pipeline)), pool_(options.workers) {}
+
+std::size_t SweepService::shard_size_for(const SweepJob& job) const {
+    if (job.shard_size != 0)
+        return job.shard_size;
+    if (std::holds_alternative<SweepJob::FaultUniverse>(job.universe_))
+        return 1;
+    const std::size_t units = 4 * std::size_t{pool_.thread_count()};
+    return std::clamp<std::size_t>((job.size() + units - 1) / units, 1,
+                                   kMaxShardSize);
 }
 
 void SweepService::run_shards(JobContext& ctx, unsigned worker_index) {
@@ -270,8 +277,7 @@ JobSummary SweepService::run(const SweepJob& job,
     // Resolve the universe view and the golden CUT. The goldens built here
     // go through SignaturePipeline::set_golden, i.e. through the process-wide
     // GoldenSignatureCache: repeat jobs over the same fingerprint reuse one
-    // golden computation (SPICE goldens have no exact fingerprint and are
-    // recomputed per job, as in PR 3).
+    // golden computation.
     std::optional<filter::BehaviouralCut> behavioural_golden;
     std::optional<filter::SpiceCut> spice_golden;
     const filter::Cut* golden = nullptr;
@@ -303,8 +309,7 @@ JobSummary SweepService::run(const SweepJob& job,
     if (golden != nullptr)
         pipeline_.set_golden(*golden); // null only for the empty default job
 
-    ctx.shard_size = job.shard_size != 0 ? job.shard_size : options_.shard_size;
-    XYSIG_EXPECTS(ctx.shard_size >= 1);
+    ctx.shard_size = shard_size_for(job);
     ctx.shards_total =
         (ctx.members_total + ctx.shard_size - 1) / ctx.shard_size;
 

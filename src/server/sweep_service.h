@@ -13,6 +13,13 @@
 /// through a callback, in member order, instead of materialising one giant
 /// result vector.
 ///
+/// The shard size is worked out per job unless the job sets its own
+/// (SweepJob::shard_size): a fault universe gets one member per unit,
+/// because SPICE member costs are uneven (the slowest Tow-Thomas fault
+/// takes about twice the mean); a deviation grid or CUT list gets
+/// ceil(members / (4 x workers)) members per unit, clamped to
+/// [1, kMaxShardSize], so every worker has several units to claim.
+///
 /// Guarantees (pinned by tests/server and bench_sweep_service):
 ///  * NDF values are bit-identical to the serial BatchNdfEvaluator /
 ///    SignaturePipeline::ndf_of path at ANY shard size and worker count;
@@ -24,7 +31,9 @@
 ///    the DC operating point);
 ///  * goldens are served from the process-wide core::GoldenSignatureCache,
 ///    so repeated jobs over the same (cut, bank, stimulus) fingerprint
-///    compute the golden once per fingerprint, not once per job;
+///    compute the golden once per fingerprint, not once per job. SPICE
+///    goldens are keyed on the nominal netlist's exact fingerprint
+///    (spice::Netlist::fingerprint) and are cached like behavioural ones;
 ///  * non-convergent members stream as quiet-NaN NDFs with no signature
 ///    (the BatchNdfOptions::nan_on_numeric_error policy, always on here —
 ///    catastrophic universes legitimately contain unsolvable members).
@@ -50,11 +59,6 @@ namespace xysig::server {
 struct SweepServiceOptions {
     /// Worker threads of the service's pool; 0 = default_thread_count().
     unsigned workers = 0;
-    /// Default members per work unit when a job does not set its own. Small
-    /// shards load-balance ragged universes (SPICE members vary wildly in
-    /// Newton cost); large shards amortise scheduling. Results never depend
-    /// on the choice.
-    std::size_t shard_size = 64;
 };
 
 /// One streamed member result.
@@ -140,7 +144,8 @@ public:
     /// Universe member count.
     [[nodiscard]] std::size_t size() const noexcept;
 
-    /// Members per work unit for this job; 0 = the service default.
+    /// Members per work unit for this job; 0 = the service's shard policy
+    /// (see the file comment). Results never depend on the choice.
     std::size_t shard_size = 0;
 
     /// Per-job sampling mode: set to pin the pipeline's fast_math flag for
@@ -186,6 +191,9 @@ class SweepService {
 public:
     using ResultCallback = std::function<void(const SweepResult&)>;
 
+    /// The largest shard the policy picks; the `ready` banner reports it.
+    static constexpr std::size_t kMaxShardSize = 64;
+
     explicit SweepService(core::SignaturePipeline pipeline,
                           SweepServiceOptions options = {});
 
@@ -208,10 +216,6 @@ public:
     [[nodiscard]] unsigned worker_count() const noexcept {
         return pool_.thread_count();
     }
-    /// Members per work unit for jobs that do not set their own.
-    [[nodiscard]] std::size_t default_shard_size() const noexcept {
-        return options_.shard_size;
-    }
 
     /// Lifetime totals across jobs.
     struct ServiceStats {
@@ -227,8 +231,10 @@ private:
 
     static void run_shards(JobContext& ctx, unsigned worker_index);
 
+    /// The job's own shard size, or the policy's pick for it.
+    [[nodiscard]] std::size_t shard_size_for(const SweepJob& job) const;
+
     core::SignaturePipeline pipeline_;
-    SweepServiceOptions options_;
     Mutex job_mutex_; ///< serialises run() callers; guards no fields
 
     mutable Mutex stats_mutex_;

@@ -272,13 +272,18 @@ TcpListener::TcpListener(Options options) : options_(std::move(options)) {
     if (options_.share_service) {
         SweepServiceOptions sopts;
         sopts.workers = options_.workers;
-        sopts.shard_size = options_.shard_size;
         shared_service_ = std::make_shared<SweepService>(
             make_paper_pipeline(options_.samples_per_period), sopts);
     }
 }
 
-TcpListener::~TcpListener() { stop(); }
+TcpListener::~TcpListener() {
+    stop();
+    // Every reader of the fd is gone: stop() joined the accept thread, and
+    // a run() caller has returned before the listener can be destroyed.
+    if (listen_fd_ >= 0)
+        ::close(listen_fd_);
+}
 
 void TcpListener::start() {
     accept_thread_ = std::thread([this] { accept_loop(); });
@@ -320,7 +325,6 @@ void TcpListener::serve_connection(Connection& conn) {
         if (service == nullptr) {
             SweepServiceOptions sopts;
             sopts.workers = options_.workers;
-            sopts.shard_size = options_.shard_size;
             service = std::make_shared<SweepService>(
                 make_paper_pipeline(options_.samples_per_period), sopts);
         }
@@ -390,13 +394,10 @@ void TcpListener::reap_finished_connections_locked() {
 void TcpListener::stop() {
     if (stopping_.exchange(true, std::memory_order_acq_rel))
         return;
-    if (listen_fd_ >= 0) {
-        // shutdown() unblocks a thread parked in accept(); close alone is
-        // not guaranteed to on all kernels.
+    // shutdown() unblocks a thread parked in accept(); close alone is not
+    // guaranteed to on all kernels. The close waits for the destructor.
+    if (listen_fd_ >= 0)
         ::shutdown(listen_fd_, SHUT_RDWR);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
     if (accept_thread_.joinable())
         accept_thread_.join();
 

@@ -109,7 +109,6 @@ public:
         unsigned short port = 0; ///< 0 = ephemeral; see port()
         /// Per-connection service configuration (as sweep_server's flags).
         unsigned workers = 0;
-        std::size_t shard_size = 64;
         std::size_t samples_per_period = 512;
         SessionOptions session; ///< queue/cache/heartbeat knobs per session
         /// Serve every connection from ONE SweepService (jobs from
@@ -123,7 +122,7 @@ public:
     };
 
     explicit TcpListener(Options options); ///< binds + listens; throws Error
-    ~TcpListener();                        ///< stop()
+    ~TcpListener();                        ///< stop(), then close the socket
 
     TcpListener(const TcpListener&) = delete;
     TcpListener& operator=(const TcpListener&) = delete;
@@ -136,7 +135,9 @@ public:
     void run();
 
     /// Stops accepting, tears down live connections, joins every thread.
-    /// Idempotent; unblocks a concurrent run().
+    /// Idempotent; unblocks a concurrent run(). The listening socket is
+    /// shut down here but closed only by the destructor, so its fd number
+    /// cannot be reused under an accept loop that is still reading it.
     void stop();
 
     /// Connections accepted over the listener's lifetime.
@@ -152,7 +153,7 @@ private:
     void reap_finished_connections_locked() REQUIRES(connections_mutex_);
 
     Options options_;
-    int listen_fd_ = -1;
+    int listen_fd_ = -1; ///< set by the constructor, closed by the destructor
     unsigned short port_ = 0;
     std::atomic<bool> stopping_{false};
     std::atomic<std::size_t> connections_accepted_{0};

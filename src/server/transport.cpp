@@ -140,7 +140,6 @@ std::string ProcessTransport::describe() const {
 LoopbackTransport::LoopbackTransport(Options options) : options_(options) {
     SweepServiceOptions sopts;
     sopts.workers = options_.workers;
-    sopts.shard_size = options_.shard_size;
     service_ = std::make_unique<SweepService>(
         make_paper_pipeline(options_.samples_per_period), sopts);
     session_ = std::make_unique<ServerSession>(
@@ -238,8 +237,7 @@ void LoopbackTransport::shutdown() {
 }
 
 std::string LoopbackTransport::describe() const {
-    return "loopback[workers=" + std::to_string(options_.workers) +
-           ", shard=" + std::to_string(options_.shard_size) + "]";
+    return "loopback[workers=" + std::to_string(options_.workers) + "]";
 }
 
 } // namespace xysig::server

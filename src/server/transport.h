@@ -87,7 +87,6 @@ class LoopbackTransport final : public Transport {
 public:
     struct Options {
         unsigned workers = 2;
-        std::size_t shard_size = 16;
         std::size_t samples_per_period = 256;
         /// Fault injection: after this many result lines the peer "dies" —
         /// emitted lines stop, reads drain then report closed, the

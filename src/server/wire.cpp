@@ -657,7 +657,7 @@ void ServerSession::emit_ready(std::size_t samples_per_period) {
     o.emplace("event", "ready");
     o.emplace("version", kProtocolVersion);
     o.emplace("workers", static_cast<std::size_t>(service_.worker_count()));
-    o.emplace("shard_size", service_.default_shard_size());
+    o.emplace("shard_size", SweepService::kMaxShardSize);
     o.emplace("samples_per_period", samples_per_period);
     emit(o);
 }

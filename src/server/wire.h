@@ -178,7 +178,9 @@ public:
     ServerSession(const ServerSession&) = delete;
     ServerSession& operator=(const ServerSession&) = delete;
 
-    /// Emits the ready banner (version, workers, shard_size, spp).
+    /// Emits the ready banner (version, workers, shard_size, spp). Its
+    /// shard_size is the service's largest policy shard
+    /// (SweepService::kMaxShardSize).
     void emit_ready(std::size_t samples_per_period);
 
     /// Processes one request line. Returns false when the request was

@@ -10,9 +10,11 @@
 /// state across transient steps (begin_transient / step_accepted, with
 /// save/restore used by the adaptive step-doubling error control).
 
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "spice/mna.h"
@@ -69,6 +71,15 @@ public:
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] std::span<const NodeId> nodes() const noexcept { return nodes_; }
 
+    /// Exact fingerprint for result caches: two devices with equal
+    /// non-empty fingerprints stamp bit-identical systems in every
+    /// analysis. It spells the type, the name, the node ids and every
+    /// parameter value in hexfloat. Transient state is left out: every
+    /// transient run restarts it from the DC operating point. The default
+    /// (empty) marks the device, and any netlist holding it, as not
+    /// cacheable.
+    [[nodiscard]] virtual std::string fingerprint() const { return {}; }
+
     /// Number of extra branch variables (voltage-source currents etc.).
     [[nodiscard]] virtual int extra_variable_count() const { return 0; }
 
@@ -110,6 +121,11 @@ public:
 protected:
     /// Copyable by derived clone() implementations only.
     Device(const Device&) = default;
+
+    /// The fingerprint() spelling `type{<len>:<name>;n1,n2,...;v1;v2...}`;
+    /// the length prefix keeps any name unambiguous.
+    [[nodiscard]] std::string spell_fingerprint(
+        std::string_view type, std::initializer_list<double> values) const;
 
     /// Voltage of the i-th connection node in a solution vector.
     [[nodiscard]] double node_v(std::span<const double> x, std::size_t i) const {

@@ -17,6 +17,10 @@ std::unique_ptr<Device> Resistor::clone() const {
     return std::make_unique<Resistor>(*this);
 }
 
+std::string Resistor::fingerprint() const {
+    return spell_fingerprint("R", {resistance_});
+}
+
 void Resistor::set_resistance(double r) {
     XYSIG_EXPECTS(r > 0.0);
     resistance_ = r;
@@ -39,6 +43,10 @@ Capacitor::Capacitor(std::string name, NodeId n1, NodeId n2, double capacitance)
 
 std::unique_ptr<Device> Capacitor::clone() const {
     return std::make_unique<Capacitor>(*this);
+}
+
+std::string Capacitor::fingerprint() const {
+    return spell_fingerprint("C", {capacitance_});
 }
 
 void Capacitor::set_capacitance(double c) {
@@ -188,6 +196,13 @@ std::unique_ptr<Device> VoltageSource::clone() const {
     return std::make_unique<VoltageSource>(*this);
 }
 
+std::string VoltageSource::fingerprint() const {
+    const auto* dc = dynamic_cast<const DcWaveform*>(wave_.get());
+    if (dc == nullptr)
+        return {};
+    return spell_fingerprint("V", {dc->level(), ac_magnitude_, ac_phase_});
+}
+
 void VoltageSource::set_waveform(const Waveform& wave) { wave_ = wave.clone(); }
 
 void VoltageSource::set_ac(double magnitude, double phase_rad) noexcept {
@@ -302,6 +317,10 @@ IdealOpamp::IdealOpamp(std::string name, NodeId inp, NodeId inn, NodeId out)
 
 std::unique_ptr<Device> IdealOpamp::clone() const {
     return std::make_unique<IdealOpamp>(*this);
+}
+
+std::string IdealOpamp::fingerprint() const {
+    return spell_fingerprint("OA", {});
 }
 
 void IdealOpamp::stamp(StampContext& ctx) const {

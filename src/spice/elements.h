@@ -17,6 +17,7 @@ public:
     Resistor(std::string name, NodeId n1, NodeId n2, double resistance);
 
     [[nodiscard]] std::unique_ptr<Device> clone() const override;
+    [[nodiscard]] std::string fingerprint() const override;
     void stamp(StampContext& ctx) const override;
     void stamp_ac(AcStampContext& ctx) const override;
 
@@ -35,6 +36,7 @@ public:
     Capacitor(std::string name, NodeId n1, NodeId n2, double capacitance);
 
     [[nodiscard]] std::unique_ptr<Device> clone() const override;
+    [[nodiscard]] std::string fingerprint() const override;
     void stamp(StampContext& ctx) const override;
     void stamp_ac(AcStampContext& ctx) const override;
     void begin_transient(std::span<const double> op_solution) override;
@@ -87,6 +89,9 @@ public:
     VoltageSource(const VoltageSource& other);
 
     [[nodiscard]] std::unique_ptr<Device> clone() const override;
+    /// Spelled for a DC drive only (level and AC settings); empty for any
+    /// other waveform.
+    [[nodiscard]] std::string fingerprint() const override;
     [[nodiscard]] int extra_variable_count() const override { return 1; }
     void stamp(StampContext& ctx) const override;
     void stamp_ac(AcStampContext& ctx) const override;
@@ -159,6 +164,7 @@ public:
     IdealOpamp(std::string name, NodeId inp, NodeId inn, NodeId out);
 
     [[nodiscard]] std::unique_ptr<Device> clone() const override;
+    [[nodiscard]] std::string fingerprint() const override;
     [[nodiscard]] int extra_variable_count() const override { return 1; }
     void stamp(StampContext& ctx) const override;
     void stamp_ac(AcStampContext& ctx) const override;

@@ -31,6 +31,24 @@ Netlist Netlist::clone() const {
     return out;
 }
 
+std::string Netlist::fingerprint() const {
+    std::string fp = "nodes{";
+    for (const std::string& name : names_) {
+        fp += std::to_string(name.size());
+        fp += ':';
+        fp += name;
+        fp += ';';
+    }
+    fp += '}';
+    for (const auto& dev : devices_) {
+        const std::string dev_fp = dev->fingerprint();
+        if (dev_fp.empty())
+            return {};
+        fp += dev_fp;
+    }
+    return fp;
+}
+
 std::uint64_t Netlist::clone_count() noexcept {
     return g_clone_count.load(std::memory_order_relaxed);
 }

@@ -43,6 +43,13 @@ public:
     /// state with the original — simulating one never affects the other.
     [[nodiscard]] Netlist clone() const;
 
+    /// Exact fingerprint: the node table, then every device's
+    /// Device::fingerprint() in insertion order (the order fixes the
+    /// unknown numbering, so it is part of the key). Equal non-empty
+    /// fingerprints mean bit-identical simulations; empty when any device
+    /// has no fingerprint.
+    [[nodiscard]] std::string fingerprint() const;
+
     /// Process-wide count of clone() calls since start-up. This is the
     /// clone-budget probe the sweep service's tests rely on: a sharded
     /// sweep must clone once per worker, not once per fault, and that

@@ -195,15 +195,16 @@ TEST(GoldenCache, KeyIsExactNotRounded) {
     EXPECT_EQ(a.description(), b.description());
 }
 
-TEST(GoldenCache, SpiceCutIsUncacheableButStillWorks) {
-    // SpiceCut has no exact fingerprint -> empty key -> computed uncached.
+TEST(GoldenCache, SpiceCutWithoutFingerprintIsUncacheableButStillWorks) {
+    // An inductor has no device fingerprint -> empty key -> computed
+    // uncached.
     SignaturePipeline pipe = make_pipeline();
     auto nl = std::make_unique<spice::Netlist>();
     const auto in = nl->node("in");
     const auto out = nl->node("out");
     nl->add<spice::VoltageSource>("Vin", in, spice::kGround, 0.0);
     nl->add<spice::Resistor>("R1", in, out, 1e3);
-    nl->add<spice::Capacitor>("C1", out, spice::kGround, 1e-9);
+    nl->add<spice::Inductor>("L1", out, spice::kGround, 1e-3);
     const filter::SpiceCut cut(std::move(nl), "Vin", "in", "out", 2);
     EXPECT_TRUE(pipe.golden_cache_key(cut).empty());
 
@@ -212,6 +213,40 @@ TEST(GoldenCache, SpiceCutIsUncacheableButStillWorks) {
     pipe.set_golden(cut);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_TRUE(pipe.has_golden());
+}
+
+TEST(GoldenCache, SpiceCutGoldenIsCachedUnderItsNetlistFingerprint) {
+    // An RC netlist spells every device, so its golden goes through the
+    // cache; a second cut over a clone is a hit with the same bits.
+    const auto make_cut = [] {
+        auto nl = std::make_unique<spice::Netlist>();
+        const auto in = nl->node("in");
+        const auto out = nl->node("out");
+        nl->add<spice::VoltageSource>("Vin", in, spice::kGround, 0.0);
+        nl->add<spice::Resistor>("R1", in, out, 1e3);
+        nl->add<spice::Capacitor>("C1", out, spice::kGround, 1e-9);
+        return filter::SpiceCut(std::move(nl), "Vin", "in", "out", 2);
+    };
+    const filter::SpiceCut first = make_cut();
+    const filter::SpiceCut second = make_cut();
+    SignaturePipeline pipe = make_pipeline();
+    ASSERT_FALSE(pipe.golden_cache_key(first).empty());
+    EXPECT_EQ(pipe.golden_cache_key(first), pipe.golden_cache_key(second));
+
+    auto& cache = GoldenSignatureCache::instance();
+    cache.clear();
+    pipe.set_golden(first);
+    pipe.set_golden(second);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
+
+    // The hit carries the bits a fresh simulation of the second cut gives.
+    const auto reference = pipe.chronogram(second);
+    ASSERT_EQ(pipe.golden().events().size(), reference.events().size());
+    for (std::size_t i = 0; i < reference.events().size(); ++i) {
+        EXPECT_EQ(pipe.golden().events()[i].t, reference.events()[i].t);
+        EXPECT_EQ(pipe.golden().events()[i].code, reference.events()[i].code);
+    }
 }
 
 TEST(Pipeline, RejectsEmptyBankAndCoarseSampling) {

@@ -187,8 +187,7 @@ TEST_F(TraceCacheTest, NanMembersLeaveSharingIntact) {
 TEST_F(TraceCacheTest, SweepServiceWorkersShareOneTrace) {
     // Four workers, small shards: every worker touches the shared
     // immutable buffer concurrently (the TSan lane runs this file).
-    server::SweepService service(make_pipeline(),
-                                 {.workers = 4, .shard_size = 4});
+    server::SweepService service(make_pipeline(), {.workers = 4});
     auto& cache = StimulusTraceCache::instance();
     ASSERT_EQ(cache.misses(), 1u);
 
@@ -197,6 +196,7 @@ TEST_F(TraceCacheTest, SweepServiceWorkersShareOneTrace) {
         deviations.push_back(static_cast<double>(d) / 2.0);
     server::SweepJob job =
         server::SweepJob::deviation_grid(core::paper_biquad(), deviations);
+    job.shard_size = 4;
 
     std::vector<double> streamed;
     const server::JobSummary summary = service.run(

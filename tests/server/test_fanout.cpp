@@ -37,7 +37,6 @@ constexpr std::size_t kSpp = 256;
 loopback_factory(std::size_t die_after_results = 0) {
     LoopbackTransport::Options opts;
     opts.workers = 2;
-    opts.shard_size = 8;
     opts.samples_per_period = kSpp;
     opts.die_after_results = die_after_results;
     return [opts] { return std::make_unique<LoopbackTransport>(opts); };
@@ -245,7 +244,6 @@ TEST(FanoutDriver, WorkerDeathMidPartitionIsRedispatchedBitIdentically) {
     auto factory = [&transports_made]() -> std::unique_ptr<Transport> {
         LoopbackTransport::Options opts;
         opts.workers = 2;
-        opts.shard_size = 8;
         opts.samples_per_period = kSpp;
         opts.die_after_results = transports_made++ == 0 ? 5 : 0;
         return std::make_unique<LoopbackTransport>(opts);
@@ -446,7 +444,6 @@ TEST(LoopbackTransport, EmittedEventStreamPassesProtocolCheck) {
     // validator CI replays the docs/PROTOCOL.md examples through.
     LoopbackTransport::Options lopts;
     lopts.workers = 2;
-    lopts.shard_size = 2;
     lopts.samples_per_period = kSpp;
     LoopbackTransport peer(lopts);
 

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -20,6 +21,7 @@
 #include <optional>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,7 +183,7 @@ void expect_same_stream(const std::vector<SweepResult>& got,
 }
 
 TEST(JobScheduler, FairShareRoundRobinAcrossClients) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler::Options opts;
     opts.cache_capacity = 0; // ordering test: every job must really run
     JobScheduler sched(service, opts);
@@ -226,7 +228,7 @@ TEST(JobScheduler, FairShareRoundRobinAcrossClients) {
 }
 
 TEST(JobScheduler, PriorityOrdersDispatchWithoutInversion) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler::Options opts;
     opts.cache_capacity = 0;
     JobScheduler sched(service, opts);
@@ -266,7 +268,7 @@ TEST(JobScheduler, PriorityOrdersDispatchWithoutInversion) {
 }
 
 TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
-    SweepService service(make_pipeline(), {.workers = 3, .shard_size = 1});
+    SweepService service(make_pipeline(), {.workers = 3});
     ASSERT_FALSE(pipeline_fingerprint(service.pipeline()).empty());
     JobScheduler sched(service, JobScheduler::Options{});
 
@@ -310,12 +312,12 @@ TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
 }
 
 TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler sched(service, JobScheduler::Options{});
 
     const std::vector<SweepResult> reference =
         submit(sched,
-               R"({"job":"deviations","grid":{"from":-20,"to":20,"count":11}})")
+               R"({"job":"deviations","grid":{"from":-20,"to":20,"count":11},"shard_size":4})")
             ->wait();
     ASSERT_EQ(reference.size(), 11u);
 
@@ -335,22 +337,23 @@ TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
     }
     // A slice past the cached span runs for real (and is then cached).
     const auto wider = submit(
-        sched, R"({"job":"deviations","grid":{"from":-20,"to":20,"count":12}})");
+        sched,
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":12},"shard_size":4})");
     EXPECT_FALSE(wider->cached());
     EXPECT_EQ(wider->wait().size(), 12u);
     EXPECT_EQ(sched.stats().cache_hits, 1u);
 }
 
 TEST(JobScheduler, InterleavedQueueBitIdenticalToSerialIncludingNaNs) {
-    SweepService service(make_pipeline(), {.workers = 3, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 3});
     // References first, straight through the service (the scheduler is not
     // constructed yet, so nothing interleaves with these).
     const std::vector<std::string> lines = {
-        R"({"job":"deviations","id":"d1","grid":{"from":-20,"to":20,"count":60}})",
-        R"({"job":"spice_faults","id":"s1","universe":"open"})",
-        R"({"job":"deviations","id":"d2","parameter":"q","grid":{"from":-15,"to":15,"count":45}})",
-        R"({"job":"deviations","id":"d1-again","grid":{"from":-20,"to":20,"count":60}})",
-        R"({"job":"deviations","id":"d3","deviations":[-7,-3,3,7]})",
+        R"({"job":"deviations","id":"d1","grid":{"from":-20,"to":20,"count":60},"shard_size":4})",
+        R"({"job":"spice_faults","id":"s1","universe":"open","shard_size":4})",
+        R"({"job":"deviations","id":"d2","parameter":"q","grid":{"from":-15,"to":15,"count":45},"shard_size":4})",
+        R"({"job":"deviations","id":"d1-again","grid":{"from":-20,"to":20,"count":60},"shard_size":4})",
+        R"({"job":"deviations","id":"d3","deviations":[-7,-3,3,7],"shard_size":4})",
     };
     std::vector<std::vector<SweepResult>> references;
     for (const std::string& line : lines)
@@ -384,7 +387,7 @@ TEST(JobScheduler, InterleavedQueueBitIdenticalToSerialIncludingNaNs) {
 }
 
 TEST(JobScheduler, QueuedJobsCancelWithoutRunning) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler::Options opts;
     opts.cache_capacity = 0;
     JobScheduler sched(service, opts);
@@ -419,8 +422,32 @@ TEST(JobScheduler, QueuedJobsCancelWithoutRunning) {
     EXPECT_EQ(stats.completed, 1u);
 }
 
+TEST(JobScheduler, QueuedCancelReportsItsQueueTime) {
+    SweepService service(make_pipeline(), {.workers = 1});
+    JobScheduler::Options opts;
+    opts.cache_capacity = 0;
+    JobScheduler sched(service, opts);
+
+    // "long" holds the one worker far longer than the wait below, so
+    // "waiting" is still queued when it is cancelled.
+    const auto running = submit(
+        sched,
+        R"({"job":"deviations","id":"long","grid":{"from":-20,"to":20,"count":100000}})");
+    const auto waiting = submit(
+        sched, R"({"job":"deviations","id":"waiting","deviations":[-5,5]})");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    sched.cancel("waiting");
+
+    EXPECT_EQ(waiting->trace(), "qd"); // never started
+    const JobOutcome out = waiting->outcome();
+    EXPECT_EQ(out.state, JobState::cancelled);
+    EXPECT_GE(out.queue_seconds, 0.02);
+    sched.cancel("long");
+    EXPECT_EQ(running->outcome().state, JobState::cancelled);
+}
+
 TEST(JobScheduler, RunningJobCancelsCooperativelyKeepsOrder) {
-    SweepService service(make_pipeline(), {.workers = 4, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 4});
     JobScheduler::Options opts;
     opts.cache_capacity = 0;
     JobScheduler sched(service, opts);
@@ -434,7 +461,7 @@ TEST(JobScheduler, RunningJobCancelsCooperativelyKeepsOrder) {
             sched.cancel("big");
     };
     sched.submit(
-        wire_job(R"({"job":"deviations","id":"big","grid":{"from":-20,"to":20,"count":2000}})"),
+        wire_job(R"({"job":"deviations","id":"big","grid":{"from":-20,"to":20,"count":2000},"shard_size":4})"),
         {}, big);
     const std::vector<SweepResult> got = big->wait();
 
@@ -450,14 +477,14 @@ TEST(JobScheduler, RunningJobCancelsCooperativelyKeepsOrder) {
     // A cancelled job never poisons the cache: resubmitting runs fresh.
     const auto again = submit(
         sched,
-        R"({"job":"deviations","id":"big2","grid":{"from":-20,"to":20,"count":2000}})");
+        R"({"job":"deviations","id":"big2","grid":{"from":-20,"to":20,"count":2000},"shard_size":4})");
     EXPECT_FALSE(again->cached());
     sched.cancel("big2");
     EXPECT_EQ(again->outcome().state, JobState::cancelled);
 }
 
 TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler sched(service, JobScheduler::Options{});
 
     // Exact job, then the identical universe under fast_math: the job
@@ -465,9 +492,9 @@ TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
     // for real — serving it from the exact entry would hand a client
     // signatures from the wrong mode.
     const std::string exact_line =
-        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9}})";
+        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9},"shard_size":4})";
     const std::string fast_line =
-        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9},"fast_math":true})";
+        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9},"fast_math":true,"shard_size":4})";
     const std::vector<SweepResult> exact_ref =
         submit(sched, exact_line)->wait();
     ASSERT_EQ(exact_ref.size(), 9u);
@@ -491,17 +518,18 @@ TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
     // Wire jobs always pin the mode, so an exact job queued behind the
     // fast_math one evaluates exact — the fast job's mode never leaks.
     const auto after = submit(
-        sched, R"({"job":"deviations","grid":{"from":-10,"to":10,"count":10}})");
+        sched,
+        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":10},"shard_size":4})");
     EXPECT_FALSE(after->cached());
     EXPECT_EQ(after->wait().size(), 10u);
     EXPECT_FALSE(service.pipeline().options().fast_math);
 }
 
 TEST(JobScheduler, VerifySerialRunsOnTheDispatcherThread) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler sched(service, JobScheduler::Options{});
     const std::string line =
-        R"({"job":"deviations","verify_serial":true,"grid":{"from":-10,"to":10,"count":16}})";
+        R"({"job":"deviations","verify_serial":true,"grid":{"from":-10,"to":10,"count":16},"shard_size":4})";
     const auto job = submit(sched, line);
     EXPECT_EQ(job->wait().size(), 16u);
     const JobOutcome out = job->outcome();
@@ -519,7 +547,7 @@ TEST(JobScheduler, VerifySerialRunsOnTheDispatcherThread) {
 }
 
 TEST(JobScheduler, DestructorCancelsBacklogAndEveryJobGetsDone) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     std::vector<std::shared_ptr<Collector>> jobs;
     {
         JobScheduler::Options opts;
@@ -552,11 +580,11 @@ TEST(JobScheduler, DestructorCancelsBacklogAndEveryJobGetsDone) {
 // with the resubmit answered by the whole-job cache while the other job is
 // still draining. Every emitted line must satisfy the protocol schema.
 TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     const std::string small_universe =
-        R"("grid":{"from":-10,"to":10,"count":9})";
+        R"("grid":{"from":-10,"to":10,"count":9},"shard_size":8)";
     const std::string big_universe =
-        R"("parameter":"q","grid":{"from":-20,"to":20,"count":300})";
+        R"("parameter":"q","grid":{"from":-20,"to":20,"count":300},"shard_size":8)";
     const std::vector<SweepResult> ref_small = serial_reference(
         service, wire_job(R"({"job":"deviations",)" + small_universe + "}"));
     const std::vector<SweepResult> ref_big = serial_reference(
@@ -693,7 +721,7 @@ std::vector<std::string> object_keys(const JsonValue& v) {
 // gets no job_start, and its job_done has the normal shape with zero
 // members done.
 TEST(ServerSession, QueuedCancelClosesWithZeroMemberJobDone) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     const std::vector<std::string> lines =
         session_lines(service, [](ServerSession& session) {
             // "long" has far more members than can finish before the
@@ -735,7 +763,7 @@ TEST(ServerSession, QueuedCancelClosesWithZeroMemberJobDone) {
 // Domain errors are typed decode errors: one `error` event, no `queued`,
 // and no source path from a failed precondition.
 TEST(ServerSession, DomainErrorIsOneErrorEventWithoutSourcePath) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     for (const std::string line :
          {R"({"job":"deviations","parameter":"f0","deviations":[-150]})",
           R"({"job":"spice_faults","settle_periods":0})",
@@ -768,7 +796,7 @@ std::optional<std::size_t> thread_count() {
 TEST(ServerSession, QueuedJobsAddNoThreads) {
     if (!thread_count())
         GTEST_SKIP() << "/proc/self/task is not available";
-    SweepService service(make_pipeline(), {.workers = 1, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 1});
     const std::size_t before = *thread_count();
     std::size_t during = 0;
     const std::vector<std::string> lines =

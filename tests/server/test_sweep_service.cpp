@@ -1,7 +1,8 @@
 // SweepService guarantees: bit-identity to the serial/batch NDF paths at
-// any (shard size x worker count), one netlist clone per worker on SPICE
-// universes (pinned through the Netlist::clone_count() probe), in-order
-// streaming, mid-job cancellation, and golden-cache reuse across jobs.
+// any (shard size x worker count), the default shard policy, one netlist
+// clone per worker on SPICE universes (pinned through the
+// Netlist::clone_count() probe), in-order streaming, mid-job cancellation,
+// and golden-cache reuse across jobs, SPICE goldens included.
 
 #include "server/sweep_service.h"
 
@@ -57,16 +58,14 @@ TEST(SweepService, DeviationJobBitIdenticalToBatchAtAnyShardAndWorkerCount) {
         batch.evaluate_deviations(nominal, deviations);
 
     struct Combo {
-        std::size_t shard_size;
+        std::size_t shard_size; ///< 0 = the service's shard policy
         unsigned workers;
     };
     for (const Combo combo : {Combo{1, 1}, Combo{7, 4}, Combo{64, 3},
-                              Combo{1200, 2}, Combo{500, 8}}) {
-        SweepServiceOptions sopts;
-        sopts.workers = combo.workers;
-        sopts.shard_size = combo.shard_size;
-        SweepService service(make_pipeline(), sopts);
+                              Combo{1200, 2}, Combo{500, 8}, Combo{0, 3}}) {
+        SweepService service(make_pipeline(), {.workers = combo.workers});
         SweepJob job = SweepJob::deviation_grid(nominal, deviations);
+        job.shard_size = combo.shard_size;
 
         std::vector<double> streamed;
         std::vector<std::size_t> order;
@@ -93,9 +92,10 @@ TEST(SweepService, DeviationJobBitIdenticalToBatchAtAnyShardAndWorkerCount) {
 }
 
 TEST(SweepService, StreamsSignaturesAndLabels) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 2});
-    const SweepJob job = SweepJob::deviation_grid(
+    SweepService service(make_pipeline(), {.workers = 2});
+    SweepJob job = SweepJob::deviation_grid(
         core::paper_biquad(), {-10.0, 10.0}, core::SweptParameter::f0);
+    job.shard_size = 2;
     std::vector<SweepResult> results;
     (void)service.run(job,
                       [&](const SweepResult& r) { results.push_back(r); });
@@ -125,8 +125,9 @@ TEST(SweepService, ExplicitCutListMatchesBatchEvaluate) {
     const core::BatchNdfEvaluator batch(reference_pipe, {.threads = 2});
     const std::vector<double> reference = batch.evaluate(raw);
 
-    SweepService service(make_pipeline(), {.workers = 3, .shard_size = 5});
-    const SweepJob job = SweepJob::from_cuts(raw, &golden);
+    SweepService service(make_pipeline(), {.workers = 3});
+    SweepJob job = SweepJob::from_cuts(raw, &golden);
+    job.shard_size = 5;
     std::vector<double> streamed;
     (void)service.run(job,
                       [&](const SweepResult& r) { streamed.push_back(r.ndf); });
@@ -155,7 +156,8 @@ TEST(SweepService, SpiceUniverseOneClonePerWorkerAndBitIdenticalToBatch) {
         batch.evaluate_netlist_faults(circuit.netlist, faults, obs);
 
     constexpr unsigned kWorkers = 3;
-    SweepService service(make_pipeline(), {.workers = kWorkers, .shard_size = 1});
+    // No job shard size: the policy gives each fault its own shard.
+    SweepService service(make_pipeline(), {.workers = kWorkers});
     const SweepJob job = SweepJob::fault_universe(
         std::make_shared<spice::Netlist>(circuit.netlist.clone()), faults, obs);
 
@@ -175,7 +177,7 @@ TEST(SweepService, SpiceUniverseOneClonePerWorkerAndBitIdenticalToBatch) {
         spice::Netlist::clone_count() - clones_before;
 
     // One clone per participating worker — never one per fault — plus
-    // exactly one for the job's golden CUT. shard_size = 1 gives every
+    // exactly one for the job's golden CUT. One fault per shard gives every
     // worker ample chance to participate, so the probe also caps the total.
     EXPECT_EQ(summary.netlist_clones, clones_during - 1);
     EXPECT_GE(summary.netlist_clones, 1u);
@@ -192,12 +194,13 @@ TEST(SweepService, SpiceUniverseOneClonePerWorkerAndBitIdenticalToBatch) {
 }
 
 TEST(SweepService, CancellationMidJobStopsDispatchKeepsOrder) {
-    SweepService service(make_pipeline(), {.workers = 4, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 4});
     // Large enough that the workers cannot plausibly drain the whole
     // universe before the callback has delivered (and cancelled at) 20
     // results on the caller thread.
-    const SweepJob job =
+    SweepJob job =
         SweepJob::deviation_grid(core::paper_biquad(), grid(-20.0, 20.0, 2000));
+    job.shard_size = 4;
 
     SweepCancelToken cancel;
     std::vector<std::size_t> order;
@@ -225,9 +228,10 @@ TEST(SweepService, CancellationMidJobStopsDispatchKeepsOrder) {
 }
 
 TEST(SweepService, GoldenComputedOncePerFingerprintAcrossJobs) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
-    const SweepJob job =
+    SweepService service(make_pipeline(), {.workers = 2});
+    SweepJob job =
         SweepJob::deviation_grid(core::paper_biquad(), grid(-5.0, 5.0, 32));
+    job.shard_size = 8;
     auto& cache = core::GoldenSignatureCache::instance();
 
     (void)service.run(job, [](const SweepResult&) {});
@@ -242,6 +246,80 @@ TEST(SweepService, GoldenComputedOncePerFingerprintAcrossJobs) {
     const auto stats = service.stats();
     EXPECT_EQ(stats.jobs, 3u);
     EXPECT_EQ(stats.members, 3u * 32u);
+
+    // SPICE: the golden is keyed on the nominal netlist's fingerprint, so
+    // a second job over a separately built copy of the same circuit is a
+    // cache hit, and its NDFs carry the first job's bits.
+    const auto spice_job = [] {
+        auto circuit = filter::build_tow_thomas(filter::TowThomasDesign::from_biquad(
+            core::paper_biquad().design(), 10e3));
+        const core::SpiceObservation obs{circuit.input_source,
+                                         circuit.input_node, circuit.lp_node, 2};
+        auto faults = capture::enumerate_open_faults(circuit.netlist, {});
+        return SweepJob::fault_universe(
+            std::make_shared<spice::Netlist>(std::move(circuit.netlist)),
+            std::move(faults), obs);
+    };
+    std::vector<double> first;
+    (void)service.run(spice_job(),
+                      [&](const SweepResult& r) { first.push_back(r.ndf); });
+    const std::size_t spice_misses = cache.misses();
+    const std::size_t spice_hits = cache.hits();
+    std::vector<double> second;
+    (void)service.run(spice_job(),
+                      [&](const SweepResult& r) { second.push_back(r.ndf); });
+    EXPECT_EQ(cache.misses(), spice_misses);
+    EXPECT_EQ(cache.hits(), spice_hits + 1);
+    ASSERT_FALSE(first.empty());
+    ASSERT_EQ(second.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i)
+        EXPECT_TRUE(same_bits(second[i], first[i])) << "fault " << i;
+}
+
+TEST(SweepService, ShardPolicyFollowsUniverseKindAndWorkerCount) {
+    // A fault universe: one shard per member.
+    {
+        const auto circuit = filter::build_tow_thomas(
+            filter::TowThomasDesign::from_biquad(core::paper_biquad().design(),
+                                                 10e3));
+        const core::SpiceObservation obs{circuit.input_source,
+                                         circuit.input_node, circuit.lp_node, 2};
+        const auto faults = capture::enumerate_open_faults(circuit.netlist, {});
+        SweepService service(make_pipeline(), {.workers = 2});
+        const JobSummary summary = service.run(
+            SweepJob::fault_universe(
+                std::make_shared<spice::Netlist>(circuit.netlist.clone()),
+                faults, obs),
+            [](const SweepResult&) {});
+        EXPECT_EQ(summary.shards_total, faults.size());
+    }
+
+    SweepService service(make_pipeline(), {.workers = 3});
+    // A 128-member grid on 3 workers: at least four shards per worker.
+    SweepJob grid_job =
+        SweepJob::deviation_grid(core::paper_biquad(), grid(-20.0, 20.0, 128));
+    std::size_t delivered = 0;
+    const JobSummary small =
+        service.run(grid_job, [&](const SweepResult&) { ++delivered; });
+    EXPECT_GE(small.shards_total, 12u);
+    EXPECT_EQ(small.shards_done, small.shards_total);
+    EXPECT_EQ(delivered, 128u);
+
+    // The job's own shard size overrides the policy.
+    grid_job.shard_size = 128;
+    EXPECT_EQ(service.run(grid_job, [](const SweepResult&) {}).shards_total,
+              1u);
+
+    // A 10^5-member grid: shards stop growing at 64 members. The job is
+    // cancelled before it starts; the shard plan is still reported.
+    SweepCancelToken cancelled;
+    cancelled.cancel();
+    const JobSummary big = service.run(
+        SweepJob::deviation_grid(core::paper_biquad(),
+                                 grid(-20.0, 20.0, 100000)),
+        [](const SweepResult&) {}, &cancelled);
+    EXPECT_EQ(big.shards_total, (100000u + 63u) / 64u);
+    EXPECT_EQ(big.members_done, 0u);
 }
 
 TEST(SweepService, WorkerFaultInjectionErrorPropagates) {
@@ -255,7 +333,7 @@ TEST(SweepService, WorkerFaultInjectionErrorPropagates) {
     bogus.node_b = circuit.lp_node;
     bogus.value = 100.0;
 
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 1});
+    SweepService service(make_pipeline(), {.workers = 2});
     const SweepJob job = SweepJob::fault_universe(
         std::make_shared<spice::Netlist>(circuit.netlist.clone()), {bogus}, obs);
     EXPECT_THROW((void)service.run(job, [](const SweepResult&) {}),
@@ -263,9 +341,10 @@ TEST(SweepService, WorkerFaultInjectionErrorPropagates) {
 }
 
 TEST(SweepService, ThrowingResultCallbackStopsJobAndServiceSurvives) {
-    SweepService service(make_pipeline(), {.workers = 4, .shard_size = 4});
-    const SweepJob job =
+    SweepService service(make_pipeline(), {.workers = 4});
+    SweepJob job =
         SweepJob::deviation_grid(core::paper_biquad(), grid(-20.0, 20.0, 500));
+    job.shard_size = 4;
     // A consumer that throws mid-stream: run() must stop the workers, wait
     // for them to release the job context, and rethrow — not crash.
     EXPECT_THROW(

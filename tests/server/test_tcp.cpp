@@ -30,7 +30,6 @@ constexpr std::size_t kSpp = 256;
     opts.bind_address = "127.0.0.1";
     opts.port = 0; // ephemeral; port() reports the bound one
     opts.workers = 2;
-    opts.shard_size = 8;
     opts.samples_per_period = kSpp;
     return opts;
 }

@@ -5,6 +5,7 @@
 
 #include "spice/netlist.h"
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -124,6 +125,35 @@ TEST(NetlistClone, ClonePreservesMidRunTransientState) {
     ASSERT_EQ(dup.step_count(), ref.step_count());
     for (std::size_t k = 0; k < ref.step_count(); ++k)
         ASSERT_EQ(dup.voltage(out, k), ref.voltage(out, k));
+}
+
+TEST(NetlistFingerprint, CloneHasTheSameKey) {
+    const filter::TowThomasCircuit ckt = filter::build_tow_thomas({});
+    const std::string key = ckt.netlist.fingerprint();
+    ASSERT_FALSE(key.empty()); // every Tow-Thomas device spells itself
+    EXPECT_EQ(ckt.netlist.clone().fingerprint(), key);
+    EXPECT_EQ(filter::build_tow_thomas({}).netlist.fingerprint(), key);
+}
+
+TEST(NetlistFingerprint, OneUlpResistorChangeChangesTheKey) {
+    const filter::TowThomasCircuit ckt = filter::build_tow_thomas({});
+    Netlist nudged = ckt.netlist.clone();
+    auto& r = nudged.get<Resistor>("Rq");
+    r.set_resistance(std::nextafter(r.resistance(), 2.0 * r.resistance()));
+    EXPECT_NE(nudged.fingerprint(), ckt.netlist.fingerprint());
+}
+
+TEST(NetlistFingerprint, DeviceWithoutFingerprintEmptiesTheKey) {
+    Netlist nl;
+    const auto in = nl.node("in");
+    const auto out = nl.node("out");
+    nl.add<VoltageSource>("Vin", in, kGround, 0.0);
+    nl.add<Resistor>("R1", in, out, 1e3);
+    ASSERT_FALSE(nl.fingerprint().empty());
+    nl.add<Inductor>("L1", out, kGround, 1e-3);
+    EXPECT_TRUE(nl.fingerprint().empty());
+    // A source driven by anything but a DC level is not spelled either.
+    EXPECT_TRUE(make_rc().fingerprint().empty());
 }
 
 TEST(RunTransientInto, ReusedResultIsBitIdenticalToFreshRuns) {
