@@ -3,13 +3,19 @@
 // fault-universe scaling report — batch NDF over a bridging/open universe,
 // serial vs N worker threads, gated on bit-identity (nonzero exit when any
 // parallel result diverges, so CI can rely on the exit code).
+//
+// Flags: --smoke runs only the scaling report, at reduced sizes (256
+// samples per period, 2 settle periods, 1/2/4 threads), for CI; its
+// timings are not gated. Other flags go to Google Benchmark.
 
 #include <bit>
 #include <cstdint>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -93,11 +99,11 @@ BENCHMARK(BM_NewtonDcLadder)->Unit(benchmark::kMicrosecond);
 // Batch NDF over the Tow-Thomas bridging/open fault universe: serial
 // reference vs the batch engine at 1/2/4/8 threads. Returns false when any
 // parallel result is not bit-identical to the serial one.
-[[nodiscard]] bool print_spice_scaling_report(std::ostream& out) {
+[[nodiscard]] bool print_spice_scaling_report(std::ostream& out, bool smoke) {
     using namespace xysig;
 
-    out << "=== [spice scaling] batch NDF over a bridging/open fault universe "
-           "===\n";
+    out << "=== [spice scaling] batch NDF over a bridging/open fault universe, "
+        << (smoke ? "smoke" : "full") << " mode ===\n";
     out << "hardware_concurrency: " << std::thread::hardware_concurrency()
         << " (speedup is bounded by physical cores; determinism is not)\n";
 
@@ -105,11 +111,12 @@ BENCHMARK(BM_NewtonDcLadder)->Unit(benchmark::kMicrosecond);
         filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
 
     core::PipelineOptions popts;
-    popts.samples_per_period = 1024;
+    popts.samples_per_period = smoke ? 256 : 1024;
     core::SignaturePipeline pipe(monitor::build_table1_bank(),
                                  core::paper_stimulus(), popts);
     const core::SpiceObservation obs{nominal.input_source, nominal.input_node,
-                                     nominal.lp_node, /*settle_periods=*/4};
+                                     nominal.lp_node,
+                                     /*settle_periods=*/smoke ? 2 : 4};
     pipe.set_golden(filter::SpiceCut(
         std::make_unique<spice::Netlist>(nominal.netlist.clone()),
         obs.input_source, obs.x_node, obs.y_node, obs.settle_periods));
@@ -160,7 +167,9 @@ BENCHMARK(BM_NewtonDcLadder)->Unit(benchmark::kMicrosecond);
     t.add_row({"SPICE fault NDF", "serial", format_double(t_serial, 4),
                format_double(static_cast<double>(universe.size()) / t_serial, 1),
                "1.00", "-"});
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    const std::vector<unsigned> thread_counts =
+        smoke ? std::vector<unsigned>{1, 2, 4} : std::vector<unsigned>{1, 2, 4, 8};
+    for (const unsigned threads : thread_counts) {
         const core::BatchNdfEvaluator batch(
             pipe, {.threads = threads, .nan_on_numeric_error = true});
         std::vector<double> ndfs;
@@ -183,8 +192,19 @@ BENCHMARK(BM_NewtonDcLadder)->Unit(benchmark::kMicrosecond);
 } // namespace
 
 int main(int argc, char** argv) {
-    const bool identical = print_spice_scaling_report(std::cout);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    bool smoke = false;
+    std::vector<char*> bench_args{argv[0]};
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) == "--smoke")
+            smoke = true;
+        else
+            bench_args.push_back(argv[i]);
+    }
+    const bool identical = print_spice_scaling_report(std::cout, smoke);
+    if (!smoke) {
+        int bench_argc = static_cast<int>(bench_args.size());
+        benchmark::Initialize(&bench_argc, bench_args.data());
+        benchmark::RunSpecifiedBenchmarks();
+    }
     return identical ? 0 : 1;
 }

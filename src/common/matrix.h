@@ -8,9 +8,18 @@
 /// unknowns), so a dense LU with partial pivoting is both simpler and faster
 /// than a sparse solver at this scale. The template parameter supports both
 /// double (DC/transient) and std::complex<double> (AC analysis).
+///
+/// LuSolver can refactorise into its kept storage and solve into a caller
+/// buffer, so a Newton loop allocates nothing after its first iteration.
+/// Together with Matrix::same_bits this lets the MNA engine keep the factors
+/// of the last matrix it factorised and reuse them whenever a newly stamped
+/// matrix has exactly the same bits (a linear circuit at a fixed transient
+/// step); equal bits in give equal factors out, so the reuse is exact.
 
 #include <complex>
 #include <cstddef>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/contracts.h"
@@ -43,6 +52,24 @@ public:
     /// Newton iterations without reallocating).
     void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
 
+    /// True when both matrices have the same shape and the same object
+    /// representation, element for element. Stricter than ==: +0.0 and -0.0
+    /// differ, and a NaN equals a NaN with the same payload. This is the
+    /// test under which factors of one matrix are exactly the factors of
+    /// the other.
+    [[nodiscard]] bool same_bits(const Matrix& other) const noexcept {
+        static_assert(std::is_trivially_copyable_v<T>);
+        return rows_ == other.rows_ && cols_ == other.cols_ &&
+               (data_.empty() ||
+                std::memcmp(data_.data(), other.data_.data(),
+                            data_.size() * sizeof(T)) == 0);
+    }
+
+    /// Row-major element storage (rows() * cols() elements), for inner
+    /// loops that check their sizes once up front.
+    [[nodiscard]] T* data() noexcept { return data_.data(); }
+    [[nodiscard]] const T* data() const noexcept { return data_.data(); }
+
     /// Matrix-vector product. x.size() must equal cols().
     [[nodiscard]] std::vector<T> multiply(const std::vector<T>& x) const {
         XYSIG_EXPECTS(x.size() == cols_);
@@ -70,28 +97,86 @@ inline double lu_abs(const std::complex<double>& v) noexcept { return std::abs(v
 
 /// LU decomposition with partial pivoting (Doolittle, in-place).
 ///
-/// Factorises a square matrix once, then solves any number of right-hand
-/// sides — the access pattern of a Newton-Raphson loop where the Jacobian is
-/// refactorised every iteration but transient analysis with a fixed step can
-/// reuse the factors for the linear part.
+/// Factorises a square matrix, then solves any number of right-hand sides.
+/// factor() refactorises into the storage kept from the previous call, and
+/// solve_into() writes into a caller buffer, so a solver reused across a
+/// Newton loop allocates only when the system size changes.
 template <typename T>
 class LuSolver {
 public:
+    /// A solver holding no factors; call factor() before solving.
+    LuSolver() = default;
+
     /// Factorises a. Throws NumericError if the matrix is singular to working
     /// precision (pivot magnitude below pivot_tol).
-    explicit LuSolver(Matrix<T> a, double pivot_tol = 1e-13)
-        : lu_(std::move(a)), perm_(lu_.rows()) {
+    explicit LuSolver(Matrix<T> a, double pivot_tol = 1e-13) : lu_(std::move(a)) {
+        factor_in_place(pivot_tol);
+    }
+
+    /// Replaces the held factors with those of a, reusing the kept storage
+    /// when the size is unchanged. Throws NumericError if the matrix is
+    /// singular to working precision (pivot magnitude below pivot_tol); a
+    /// solver that threw holds no factors.
+    void factor(const Matrix<T>& a, double pivot_tol = 1e-13) {
+        factored_ = false;
+        lu_ = a;
+        factor_in_place(pivot_tol);
+    }
+
+    /// True once factor() has succeeded (and no later call has thrown).
+    [[nodiscard]] bool factored() const noexcept { return factored_; }
+
+    /// Solves A x = b for the factorised A into x (resized to n). b.size()
+    /// must equal n, and x must not be b.
+    void solve_into(const std::vector<T>& b, std::vector<T>& x) const {
+        XYSIG_EXPECTS(factored_);
+        const std::size_t n = lu_.rows();
+        XYSIG_EXPECTS(b.size() == n);
+        XYSIG_EXPECTS(&b != &x);
+        x.resize(n);
+        const T* const m = lu_.data();
+        // Apply permutation, then forward substitution (unit lower factor).
+        for (std::size_t i = 0; i < n; ++i) {
+            const T* const row_i = m + i * n;
+            T acc = b[perm_[i]];
+            for (std::size_t j = 0; j < i; ++j)
+                acc -= row_i[j] * x[j];
+            x[i] = acc;
+        }
+        // Back substitution.
+        for (std::size_t ii = n; ii-- > 0;) {
+            const T* const row_i = m + ii * n;
+            T acc = x[ii];
+            for (std::size_t j = ii + 1; j < n; ++j)
+                acc -= row_i[j] * x[j];
+            x[ii] = acc / row_i[ii];
+        }
+    }
+
+    /// Solves A x = b for the factorised A. b.size() must equal n.
+    [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const {
+        std::vector<T> x;
+        solve_into(b, x);
+        return x;
+    }
+
+private:
+    /// Factorises lu_ in place; sets factored_ only when every pivot passed.
+    void factor_in_place(double pivot_tol) {
         XYSIG_EXPECTS(lu_.rows() == lu_.cols());
         const std::size_t n = lu_.rows();
+        perm_.resize(n);
         for (std::size_t i = 0; i < n; ++i)
             perm_[i] = i;
 
+        T* const m = lu_.data();
         for (std::size_t k = 0; k < n; ++k) {
+            T* const row_k = m + k * n;
             // Partial pivoting: pick the largest magnitude in column k.
             std::size_t pivot_row = k;
-            double best = detail::lu_abs(lu_(k, k));
+            double best = detail::lu_abs(row_k[k]);
             for (std::size_t r = k + 1; r < n; ++r) {
-                const double mag = detail::lu_abs(lu_(r, k));
+                const double mag = detail::lu_abs(m[r * n + k]);
                 if (mag > best) {
                     best = mag;
                     pivot_row = r;
@@ -102,45 +187,26 @@ public:
                                    std::to_string(best) + " at column " +
                                    std::to_string(k) + ")");
             if (pivot_row != k) {
+                T* const row_p = m + pivot_row * n;
                 for (std::size_t c = 0; c < n; ++c)
-                    std::swap(lu_(k, c), lu_(pivot_row, c));
+                    std::swap(row_k[c], row_p[c]);
                 std::swap(perm_[k], perm_[pivot_row]);
             }
-            const T pivot = lu_(k, k);
+            const T pivot = row_k[k];
             for (std::size_t r = k + 1; r < n; ++r) {
-                const T factor = lu_(r, k) / pivot;
-                lu_(r, k) = factor;
+                T* const row_r = m + r * n;
+                const T l_rk = row_r[k] / pivot;
+                row_r[k] = l_rk;
                 for (std::size_t c = k + 1; c < n; ++c)
-                    lu_(r, c) -= factor * lu_(k, c);
+                    row_r[c] -= l_rk * row_k[c];
             }
         }
+        factored_ = true;
     }
 
-    /// Solves A x = b for the factorised A. b.size() must equal n.
-    [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const {
-        const std::size_t n = lu_.rows();
-        XYSIG_EXPECTS(b.size() == n);
-        std::vector<T> x(n);
-        // Apply permutation, then forward substitution (unit lower factor).
-        for (std::size_t i = 0; i < n; ++i) {
-            T acc = b[perm_[i]];
-            for (std::size_t j = 0; j < i; ++j)
-                acc -= lu_(i, j) * x[j];
-            x[i] = acc;
-        }
-        // Back substitution.
-        for (std::size_t ii = n; ii-- > 0;) {
-            T acc = x[ii];
-            for (std::size_t j = ii + 1; j < n; ++j)
-                acc -= lu_(ii, j) * x[j];
-            x[ii] = acc / lu_(ii, ii);
-        }
-        return x;
-    }
-
-private:
     Matrix<T> lu_;
     std::vector<std::size_t> perm_;
+    bool factored_ = false;
 };
 
 /// Convenience one-shot solve of A x = b.

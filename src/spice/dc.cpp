@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/contracts.h"
-#include "common/matrix.h"
 #include "spice/elements.h"
 
 namespace xysig::spice {
@@ -25,17 +24,19 @@ double OperatingPoint::voltage(const std::string& node_name) const {
 
 namespace detail {
 
-int newton_solve(const Netlist& nl, std::vector<double>& x, std::size_t n_unknowns,
-                 const NewtonOptions& opts, AnalysisMode mode, Integrator integrator,
-                 double time, double dt, double gmin, double source_scale) {
-    Matrix<double> a(n_unknowns, n_unknowns);
-    std::vector<double> b(n_unknowns, 0.0);
+int newton_solve(const Netlist& nl, std::vector<double>& x, const NewtonOptions& opts,
+                 AnalysisMode mode, Integrator integrator, double time, double dt,
+                 double gmin, double source_scale, NewtonWorkspace& ws) {
+    const std::size_t n_unknowns = x.size();
+    if (ws.a.rows() != n_unknowns)
+        ws.a = Matrix<double>(n_unknowns, n_unknowns);
+    ws.b.resize(n_unknowns);
     const std::size_t n_node_vars = nl.node_count() - 1;
 
     for (int iter = 1; iter <= opts.max_iterations; ++iter) {
-        a.fill(0.0);
-        std::fill(b.begin(), b.end(), 0.0);
-        RealAssembler mna(a, b, nl.node_count());
+        ws.a.fill(0.0);
+        std::fill(ws.b.begin(), ws.b.end(), 0.0);
+        RealAssembler mna(ws.a, ws.b, nl.node_count());
 
         StampContext ctx;
         ctx.mode = mode;
@@ -50,15 +51,21 @@ int newton_solve(const Netlist& nl, std::vector<double>& x, std::size_t n_unknow
         for (const auto& dev : nl.devices())
             dev->stamp(ctx);
         for (std::size_t i = 0; i < n_node_vars; ++i)
-            a(i, i) += gmin;
+            ws.a(i, i) += gmin;
 
-        std::vector<double> x_new;
-        try {
-            x_new = solve_linear_system(std::move(a), b);
-        } catch (const NumericError&) {
-            return -1; // singular at this iterate; let the caller escalate
+        // Reuse the held factors only for a bitwise-identical matrix; a
+        // factorisation that throws leaves ws.lu without factors.
+        if (!ws.lu.factored() || !ws.a.same_bits(ws.factored)) {
+            ++ws.factorisations;
+            try {
+                ws.lu.factor(ws.a);
+            } catch (const NumericError&) {
+                return -1; // singular at this iterate; let the caller escalate
+            }
+            ws.factored = ws.a;
         }
-        a = Matrix<double>(n_unknowns, n_unknowns); // solve consumed it
+        ws.lu.solve_into(ws.b, ws.x_new);
+        const std::vector<double>& x_new = ws.x_new;
 
         // Damping: scale the update so no unknown moves more than max_step.
         double max_delta = 0.0;
@@ -82,16 +89,20 @@ int newton_solve(const Netlist& nl, std::vector<double>& x, std::size_t n_unknow
 
 } // namespace detail
 
-OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
-                                  double time) {
+namespace {
+
+/// The plain / gmin-stepping / source-stepping ladder; every rung solves
+/// through the caller's workspace.
+OperatingPoint solve_operating_point(const Netlist& nl, const DcOptions& opts,
+                                     double time, detail::NewtonWorkspace& ws) {
     nl.validate();
     const std::size_t n = nl.assign_unknowns();
     std::vector<double> x(n, 0.0);
 
     // Ladder 1: plain Newton from a zero start.
-    int iters = detail::newton_solve(nl, x, n, opts.newton, AnalysisMode::dc_op,
+    int iters = detail::newton_solve(nl, x, opts.newton, AnalysisMode::dc_op,
                                      Integrator::trapezoidal, time, 0.0, opts.gmin,
-                                     1.0);
+                                     1.0, ws);
     if (iters > 0) {
         OperatingPoint op(nl, std::move(x));
         op.newton_iterations = iters;
@@ -103,8 +114,8 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
     std::fill(x.begin(), x.end(), 0.0);
     int total_iters = 0;
     for (double g = opts.gmin_stepping_start; g >= opts.gmin; g /= 10.0) {
-        iters = detail::newton_solve(nl, x, n, opts.newton, AnalysisMode::dc_op,
-                                     Integrator::trapezoidal, time, 0.0, g, 1.0);
+        iters = detail::newton_solve(nl, x, opts.newton, AnalysisMode::dc_op,
+                                     Integrator::trapezoidal, time, 0.0, g, 1.0, ws);
         if (iters < 0) {
             gmin_ok = false;
             break;
@@ -113,9 +124,9 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
     }
     if (gmin_ok) {
         // Final polish at the target gmin.
-        iters = detail::newton_solve(nl, x, n, opts.newton, AnalysisMode::dc_op,
+        iters = detail::newton_solve(nl, x, opts.newton, AnalysisMode::dc_op,
                                      Integrator::trapezoidal, time, 0.0, opts.gmin,
-                                     1.0);
+                                     1.0, ws);
         if (iters > 0) {
             OperatingPoint op(nl, std::move(x));
             op.newton_iterations = total_iters + iters;
@@ -130,9 +141,9 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
     bool source_ok = true;
     for (int s = 1; s <= opts.source_steps; ++s) {
         const double scale = static_cast<double>(s) / opts.source_steps;
-        iters = detail::newton_solve(nl, x, n, opts.newton, AnalysisMode::dc_op,
+        iters = detail::newton_solve(nl, x, opts.newton, AnalysisMode::dc_op,
                                      Integrator::trapezoidal, time, 0.0, opts.gmin,
-                                     scale);
+                                     scale, ws);
         if (iters < 0) {
             source_ok = false;
             break;
@@ -150,6 +161,14 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
                        "stepping and source stepping all failed)");
 }
 
+} // namespace
+
+OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
+                                  double time) {
+    detail::NewtonWorkspace ws;
+    return solve_operating_point(nl, opts, time, ws);
+}
+
 std::vector<double> dc_sweep(Netlist& nl, const std::string& source_name,
                              std::span<const double> levels,
                              const std::string& probe_node, const DcOptions& opts) {
@@ -160,6 +179,7 @@ std::vector<double> dc_sweep(Netlist& nl, const std::string& source_name,
 
     const std::size_t n = nl.assign_unknowns();
     std::vector<double> x(n, 0.0);
+    detail::NewtonWorkspace ws;
     bool have_previous = false;
     for (const double level : levels) {
         src.set_waveform(DcWaveform(level));
@@ -167,8 +187,8 @@ std::vector<double> dc_sweep(Netlist& nl, const std::string& source_name,
             // Warm start from the previous point; fall back to the full
             // ladder when the fast path fails.
             const int iters = detail::newton_solve(
-                nl, x, n, opts.newton, AnalysisMode::dc_op,
-                Integrator::trapezoidal, 0.0, 0.0, opts.gmin, 1.0);
+                nl, x, opts.newton, AnalysisMode::dc_op, Integrator::trapezoidal,
+                0.0, 0.0, opts.gmin, 1.0, ws);
             if (iters > 0) {
                 out.push_back(probe == kGround
                                   ? 0.0
@@ -176,7 +196,7 @@ std::vector<double> dc_sweep(Netlist& nl, const std::string& source_name,
                 continue;
             }
         }
-        OperatingPoint op = dc_operating_point(nl, opts);
+        OperatingPoint op = solve_operating_point(nl, opts, 0.0, ws);
         x.assign(op.unknowns().begin(), op.unknowns().end());
         have_previous = true;
         out.push_back(op.voltage(probe));

@@ -5,8 +5,10 @@
 /// Nonlinear DC solution: damped Newton-Raphson with gmin stepping and
 /// source stepping fallbacks (the standard SPICE convergence ladder).
 
+#include <cstdint>
 #include <vector>
 
+#include "common/matrix.h"
 #include "spice/netlist.h"
 #include "spice/types.h"
 
@@ -48,12 +50,37 @@ private:
 
 namespace detail {
 
+/// Buffers one Newton solve reuses across its iterations, and a caller
+/// reuses across solves: the stamped MNA system, the next iterate, and the
+/// LU factors of the last matrix factorised. After the first iteration at a
+/// given size nothing is allocated.
+///
+/// When a newly stamped matrix (gmin diagonal included) has exactly the
+/// bits of `factored`, the held factors are reused and only the O(n^2)
+/// solve runs. Equal bits give equal factors and equal solutions, so this
+/// is exact for any circuit. On a nonlinear circuit it matches only while
+/// no device's linearisation moves (a level-1 MOSFET in cut-off); a linear
+/// circuit at a fixed transient step factorises once per distinct step
+/// matrix.
+///
+/// One workspace serves one thread at a time; reuse across netlists of any
+/// size is safe (the bit comparison covers the shape).
+struct NewtonWorkspace {
+    Matrix<double> a;              ///< MNA matrix being stamped
+    std::vector<double> b;         ///< MNA right-hand side
+    std::vector<double> x_new;     ///< undamped next iterate
+    Matrix<double> factored;       ///< the matrix `lu` holds factors of
+    LuSolver<double> lu;           ///< no factors after a singular pivot
+    std::uint64_t factorisations = 0; ///< LU factorisations attempted
+};
+
 /// One damped-Newton solve at fixed gmin / source_scale; x is the initial
-/// guess on entry and the solution on success. Returns iterations used, or
-/// -1 when not converged (including singular-matrix failures).
-int newton_solve(const Netlist& nl, std::vector<double>& x, std::size_t n_unknowns,
-                 const NewtonOptions& opts, AnalysisMode mode, Integrator integrator,
-                 double time, double dt, double gmin, double source_scale);
+/// guess on entry and the solution on success (x.size() unknowns, from
+/// Netlist::assign_unknowns()). Returns iterations used, or -1 when not
+/// converged (including singular-matrix failures).
+int newton_solve(const Netlist& nl, std::vector<double>& x, const NewtonOptions& opts,
+                 AnalysisMode mode, Integrator integrator, double time, double dt,
+                 double gmin, double source_scale, NewtonWorkspace& ws);
 
 } // namespace detail
 

@@ -17,6 +17,7 @@ void TransientResult::reset(const Netlist& nl, bool fixed_step) {
     time_.clear(); // rows_ keeps its storage; live length is time_.size()
     total_newton_iterations = 0;
     rejected_steps = 0;
+    lu_factorisations_ = 0;
 }
 
 void TransientResult::append(double t, std::span<const double> x) {
@@ -110,13 +111,13 @@ void restore_all_states(const Netlist& nl,
         devs[i]->restore_state(states[i]);
 }
 
-/// One converged implicit step from the current device states.
-/// Returns Newton iterations, or -1 when not converged.
-int advance(const Netlist& nl, std::vector<double>& x, std::size_t n,
-            const TransientOptions& opts, double t_new, double dt,
-            Integrator integrator) {
-    return detail::newton_solve(nl, x, n, opts.dc.newton, AnalysisMode::transient,
-                                integrator, t_new, dt, opts.dc.gmin, 1.0);
+/// One converged implicit step from the current device states, through the
+/// run's workspace. Returns Newton iterations, or -1 when not converged.
+int advance(const Netlist& nl, std::vector<double>& x, const TransientOptions& opts,
+            double t_new, double dt, Integrator integrator,
+            detail::NewtonWorkspace& ws) {
+    return detail::newton_solve(nl, x, opts.dc.newton, AnalysisMode::transient,
+                                integrator, t_new, dt, opts.dc.gmin, 1.0, ws);
 }
 
 void accept(const Netlist& nl, std::span<const double> x, double t, double dt,
@@ -139,7 +140,6 @@ void run_transient_into(const Netlist& nl, const TransientOptions& opts,
     XYSIG_EXPECTS(opts.dt > 0.0);
 
     const OperatingPoint op = dc_operating_point(nl, opts.dc, opts.t_start);
-    const std::size_t n = nl.assign_unknowns();
     for (const auto& dev : nl.devices())
         dev->begin_transient(op.unknowns());
 
@@ -148,6 +148,10 @@ void run_transient_into(const Netlist& nl, const TransientOptions& opts,
     result.append(opts.t_start, op.unknowns());
 
     std::vector<double> x(op.unknowns().begin(), op.unknowns().end());
+    // One workspace for every step of the run: the Newton loop allocates
+    // nothing after the first iteration, and a step whose matrix has the
+    // bits of the last factorised one reuses its LU factors.
+    detail::NewtonWorkspace ws;
 
     if (!opts.adaptive) {
         const auto steps = static_cast<std::size_t>(
@@ -159,7 +163,7 @@ void run_transient_into(const Netlist& nl, const TransientOptions& opts,
             // requested integrator.
             const Integrator integ =
                 (k == 1) ? Integrator::backward_euler : opts.integrator;
-            const int iters = advance(nl, x, n, opts, t_new, opts.dt, integ);
+            const int iters = advance(nl, x, opts, t_new, opts.dt, integ, ws);
             if (iters < 0)
                 throw NumericError("run_transient: step did not converge at t = " +
                                    std::to_string(t_new));
@@ -167,6 +171,7 @@ void run_transient_into(const Netlist& nl, const TransientOptions& opts,
             accept(nl, x, t_new, opts.dt, integ);
             result.append(t_new, x);
         }
+        result.lu_factorisations_ = ws.factorisations;
         return;
     }
 
@@ -206,16 +211,16 @@ void run_transient_into(const Netlist& nl, const TransientOptions& opts,
 
         save_all_states_into(nl, states);
         x_full = x;
-        const int it_full = advance(nl, x_full, n, opts, t + h, h, integ);
+        const int it_full = advance(nl, x_full, opts, t + h, h, integ, ws);
 
         x_half = x;
         int it_half = -1;
         int it_half2 = -1;
         if (it_full >= 0) {
-            it_half = advance(nl, x_half, n, opts, t + 0.5 * h, 0.5 * h, integ);
+            it_half = advance(nl, x_half, opts, t + 0.5 * h, 0.5 * h, integ, ws);
             if (it_half >= 0) {
                 accept(nl, x_half, t + 0.5 * h, 0.5 * h, integ);
-                it_half2 = advance(nl, x_half, n, opts, t + h, 0.5 * h, integ);
+                it_half2 = advance(nl, x_half, opts, t + h, 0.5 * h, integ, ws);
             }
         }
 
@@ -249,6 +254,7 @@ void run_transient_into(const Netlist& nl, const TransientOptions& opts,
                                    std::to_string(t));
         }
     }
+    result.lu_factorisations_ = ws.factorisations;
 }
 
 } // namespace xysig::spice

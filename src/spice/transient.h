@@ -6,6 +6,7 @@
 /// with an optional step-doubling adaptive mode (Richardson local error
 /// estimate on the node voltages).
 
+#include <cstdint>
 #include <vector>
 
 #include "signal/sampled.h"
@@ -61,12 +62,25 @@ public:
     /// Steps rejected by the adaptive error control.
     int rejected_steps = 0;
 
+    /// LU factorisations over the run's time steps (the initial operating
+    /// point not included). Newton iterations whose stamped matrix had the
+    /// bits of the last factorised one reused its factors instead, so a
+    /// linear circuit at a fixed step factorises once per distinct step
+    /// matrix (backward Euler first, then the requested integrator).
+    [[nodiscard]] std::uint64_t lu_factorisations() const noexcept {
+        return lu_factorisations_;
+    }
+
     /// Called by the engine only.
     void append(double t, std::span<const double> x);
 
 private:
+    friend void run_transient_into(const Netlist& nl, const TransientOptions& opts,
+                                   TransientResult& out);
+
     const Netlist* netlist_ = nullptr;
     bool fixed_step_ = false;
+    std::uint64_t lu_factorisations_ = 0;
     std::vector<double> time_;
     /// Row storage; only the first time_.size() rows are live — reset()
     /// keeps the rest as capacity for the next run.

@@ -2,7 +2,11 @@
 
 #include "common/matrix.h"
 
+#include <bit>
+#include <cmath>
 #include <complex>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +97,61 @@ TEST(LuSolver, FactorisesOnceSolvesMany) {
     EXPECT_NEAR(x1[0] + 3.0 * x1[1], 4.0, 1e-12);
     EXPECT_NEAR(4.0 * x2[0] + x2[1], 9.0, 1e-12);
     EXPECT_NEAR(x2[0] + 3.0 * x2[1], 7.0, 1e-12);
+}
+
+TEST(LuSolver, RefactorAndSolveIntoMatchFreshSolver) {
+    // Pivoting reorders this system, so the kept permutation is exercised.
+    Matrix<double> a(3, 3);
+    const double vals[3][3] = {{0.5, 2.0, -1.0}, {3.0, 0.25, 1.5}, {-2.0, 1.0, 4.0}};
+    for (std::size_t r = 0; r < 3; ++r)
+        for (std::size_t c = 0; c < 3; ++c)
+            a(r, c) = vals[r][c];
+    const std::vector<double> b = {1.0, -2.0, 0.5};
+    const auto want = LuSolver<double>(a).solve(b);
+
+    LuSolver<double> lu;
+    EXPECT_FALSE(lu.factored());
+    Matrix<double> other(3, 3, 1.0);
+    for (std::size_t i = 0; i < 3; ++i)
+        other(i, i) = 5.0;
+    lu.factor(other); // leaves storage of the right size behind
+    lu.factor(a);
+    ASSERT_TRUE(lu.factored());
+    std::vector<double> x = {9.0, 9.0, 9.0};
+    lu.solve_into(b, x);
+    ASSERT_EQ(x.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]),
+                  std::bit_cast<std::uint64_t>(want[i]));
+}
+
+TEST(LuSolver, FailedRefactorHoldsNoFactors) {
+    Matrix<double> good(2, 2);
+    good(0, 0) = 2.0;
+    good(1, 1) = 4.0;
+    LuSolver<double> lu(good);
+    ASSERT_TRUE(lu.factored());
+    Matrix<double> singular(2, 2, 1.0);
+    EXPECT_THROW(lu.factor(singular), NumericError);
+    EXPECT_FALSE(lu.factored());
+    lu.factor(good);
+    EXPECT_TRUE(lu.factored());
+    EXPECT_EQ(lu.solve({2.0, 8.0}), (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(Matrix, SameBitsComparesShapeAndRepresentation) {
+    Matrix<double> a(2, 2, 1.0);
+    Matrix<double> b = a;
+    EXPECT_TRUE(a.same_bits(b));
+    b(1, 0) = std::nextafter(1.0, 2.0);
+    EXPECT_FALSE(a.same_bits(b));
+    // Equal as values, different as bits: +0.0 and -0.0 can factorise to
+    // zeros of different sign, so the check must tell them apart.
+    Matrix<double> pz(1, 1, 0.0);
+    Matrix<double> nz(1, 1, -0.0);
+    EXPECT_FALSE(pz.same_bits(nz));
+    EXPECT_FALSE(Matrix<double>(1, 4).same_bits(Matrix<double>(2, 2)));
+    EXPECT_TRUE(Matrix<double>().same_bits(Matrix<double>()));
 }
 
 TEST(LuSolver, ComplexSystem) {
