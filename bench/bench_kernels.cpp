@@ -38,6 +38,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/table.h"
+#include "common/timing.h"
 #include "core/batch_ndf.h"
 #include "core/paper_setup.h"
 #include "core/trace_cache.h"
@@ -57,11 +58,6 @@ monitor::MonitorBank make_bench_bank() {
     bank.add(std::make_unique<monitor::LinearBoundary>(1.0, 1.0, -1.1));
     bank.add(std::make_unique<monitor::LinearBoundary>(-1.0, 1.0, -0.1));
     return bank;
-}
-
-double seconds_since(const std::chrono::steady_clock::time_point& t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
 }
 
 /// Items/second of fn (which processes items_per_call items), repeated

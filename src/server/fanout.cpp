@@ -12,6 +12,7 @@
 #include "common/annotated_mutex.h"
 #include "common/contracts.h"
 #include "common/strings.h"
+#include "common/timing.h"
 #include "server/wire.h"
 
 namespace xysig::server {
@@ -20,13 +21,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-[[nodiscard]] double seconds_since(const Clock::time_point& t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 /// Read-poll slice: short enough that cancellation fan-out and abort are
 /// prompt, long enough not to spin.
 constexpr double kPollSliceSeconds = 0.05;
+
+/// Deadline for a fresh peer's ready banner; a peer that misses it costs
+/// one dispatch attempt.
+constexpr double kHandshakeTimeoutSeconds = 30.0;
 
 /// Bounded integer field of a peer event (wire::index_field — peer stdout
 /// is as untrusted as peer stdin).
@@ -203,13 +204,15 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
             continue;
         }
 
-        // Handshake: wait for the ready banner (and pin the peers to one
-        // samples_per_period — the verify gate depends on it).
+        // Handshake: wait for the ready banner, reject a peer that speaks a
+        // newer protocol than this build, and pin the peers to one
+        // samples_per_period (the verify gate depends on it). Every
+        // transport gets this one check; none does its own.
         bool handshaken = false;
         {
             const auto h0 = Clock::now();
             std::string line;
-            while (seconds_since(h0) < options_.handshake_timeout_seconds) {
+            while (seconds_since(h0) < kHandshakeTimeoutSeconds) {
                 const auto status =
                     transport->read_line(line, kPollSliceSeconds);
                 if (status == Transport::ReadStatus::closed)
@@ -222,8 +225,22 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                 try {
                     const JsonValue v = JsonValue::parse(line);
                     if (v.is_object() && v.string_or("event", "") == "ready") {
+                        // Absent means version 1 (docs/PROTOCOL.md).
+                        const std::size_t version =
+                            v.has("version") ? size_field(v, "version") : 1;
                         const std::size_t spp =
                             size_field(v, "samples_per_period");
+                        if (version < 1 ||
+                            version > static_cast<std::size_t>(kProtocolVersion)) {
+                            // Deterministic: every retry would meet the same
+                            // build, so the run fails instead.
+                            shared.fail("fanout: " + transport->describe() +
+                                        " speaks protocol version " +
+                                        std::to_string(version) +
+                                        "; this build speaks 1 to " +
+                                        std::to_string(kProtocolVersion));
+                            break;
+                        }
                         bool mismatch = false;
                         {
                             MutexLock lock(shared.mutex);

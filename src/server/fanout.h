@@ -5,9 +5,17 @@
 /// Multi-process sweep fan-out: server::FanoutDriver splits one NDJSON
 /// sweep job into contiguous member-range partitions, dispatches each
 /// partition to its own `sweep_server` peer over a Transport
-/// (ProcessTransport = child processes, LoopbackTransport = in-process
-/// deterministic tests), and merges the per-partition result streams back
-/// into one stream in ascending global member order.
+/// (ProcessTransport = child processes, TcpTransport = other hosts,
+/// LoopbackTransport = an in-process socketpair for tests), and merges the
+/// per-partition result streams back into one stream in ascending global
+/// member order.
+///
+/// Handshake: the driver is the only place a peer is admitted. It reads
+/// the peer's ready banner (30 s deadline), fails the whole run when the
+/// banner's protocol version is newer than this build's kProtocolVersion
+/// (every retry would meet the same peer build), and fails it when two
+/// peers disagree on samples_per_period. A peer that closes or sends
+/// garbage before its banner costs one dispatch attempt.
 ///
 /// Determinism: members are independent and every member's value is a
 /// function of its global id only (parse_wire_job materialises grids over
@@ -17,7 +25,7 @@
 /// verify_single_process gate re-runs the whole universe in-process and
 /// compares exact hexfloat NDFs (and signature strings) member by member.
 ///
-/// Fault handling: a partition whose peer dies (pipe EOF, injected death)
+/// Fault handling: a partition whose peer dies (EOF, a ChaosTransport fault)
 /// or goes silent past read_timeout_seconds is re-dispatched on a fresh
 /// transport, resuming at the first member not yet received — the
 /// in-partition stream is contiguous, so the received prefix is exact and
@@ -63,8 +71,6 @@ struct FanoutOptions {
     /// this long is declared dead and its remaining range re-dispatched.
     /// 0 = wait forever.
     double read_timeout_seconds = 0.0;
-    /// Deadline for a fresh peer's ready banner.
-    double handshake_timeout_seconds = 30.0;
     /// Dispatch attempts per dispatched range (first dispatch included)
     /// before the whole run fails. A stolen tail is its own range with
     /// its own attempt budget.

@@ -4,7 +4,8 @@
 /// \file fd_io.h
 /// Shared file-descriptor line framing for the NDJSON transports.
 ///
-/// ProcessTransport (pipes) and TcpTransport (sockets) speak the exact
+/// ProcessTransport (pipes), TcpTransport (sockets), LoopbackTransport (a
+/// socketpair) and serve_peer (the served end of a socket) speak the exact
 /// same framing — one '\n'-terminated JSON object per line — so the write
 /// and poll-read loops live here once. Both loops are hardened against
 /// the partial-I/O realities the fan-out fabric depends on:

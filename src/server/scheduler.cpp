@@ -7,16 +7,13 @@
 
 #include "common/contracts.h"
 #include "common/strings.h"
+#include "common/timing.h"
 
 namespace xysig::server {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-[[nodiscard]] double seconds_since(Clock::time_point t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 } // namespace
 

@@ -7,16 +7,11 @@
 
 #include "common/contracts.h"
 #include "common/strings.h"
+#include "common/timing.h"
 
 namespace xysig::server {
 
 namespace {
-
-[[nodiscard]] double seconds_since(
-    const std::chrono::steady_clock::time_point& t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 [[nodiscard]] std::string deviation_label(core::SweptParameter parameter,
                                           double percent) {
@@ -28,16 +23,6 @@ namespace {
 } // namespace
 
 // ----------------------------------------------------------------- SweepJob
-
-SweepJob SweepJob::from_cuts(std::vector<const filter::Cut*> cuts,
-                             const filter::Cut* golden) {
-    XYSIG_EXPECTS(golden != nullptr);
-    for (const filter::Cut* cut : cuts)
-        XYSIG_EXPECTS(cut != nullptr);
-    SweepJob job;
-    job.universe_ = CutListUniverse{std::move(cuts), golden};
-    return job;
-}
 
 SweepJob SweepJob::deviation_grid(filter::Biquad nominal,
                                   std::vector<double> deviations_percent,
@@ -59,11 +44,11 @@ SweepJob SweepJob::fault_universe(std::shared_ptr<const spice::Netlist> nominal,
 }
 
 std::size_t SweepJob::size() const noexcept {
-    if (const auto* cl = std::get_if<CutListUniverse>(&universe_))
-        return cl->cuts.size();
     if (const auto* dv = std::get_if<DeviationUniverse>(&universe_))
         return dv->deviations_percent.size();
-    return std::get<FaultUniverse>(universe_).faults.size();
+    if (const auto* fu = std::get_if<FaultUniverse>(&universe_))
+        return fu->faults.size();
+    return 0;
 }
 
 // ----------------------------------------------------------------- contexts
@@ -85,8 +70,7 @@ struct WorkerState {
 struct SweepService::JobContext {
     const core::SignaturePipeline* pipeline = nullptr;
 
-    // Exactly one of these three views is active (see resolve in run()).
-    const SweepJob::CutListUniverse* cut_list = nullptr;
+    // At most one of these two views is active (see resolve in run()).
     const SweepJob::DeviationUniverse* deviation = nullptr;
     const SweepJob::FaultUniverse* faults = nullptr;
     /// Materialised deviation members (one BehaviouralCut per grid point,
@@ -171,10 +155,6 @@ struct SweepService::JobContext {
 
     [[nodiscard]] SweepResult evaluate_member(WorkerState& ws,
                                               std::size_t member_id) {
-        if (cut_list != nullptr) {
-            const filter::Cut& cut = *cut_list->cuts[member_id];
-            return evaluate_one(ws.scratch, member_id, cut, cut.description());
-        }
         if (deviation != nullptr) {
             return evaluate_one(
                 ws.scratch, member_id, behavioural[member_id],
@@ -281,13 +261,8 @@ JobSummary SweepService::run(const SweepJob& job,
     std::optional<filter::BehaviouralCut> behavioural_golden;
     std::optional<filter::SpiceCut> spice_golden;
     const filter::Cut* golden = nullptr;
-    if (const auto* cl = std::get_if<SweepJob::CutListUniverse>(&job.universe_)) {
-        XYSIG_EXPECTS(cl->cuts.empty() || cl->golden != nullptr);
-        ctx.cut_list = cl;
-        ctx.members_total = cl->cuts.size();
-        golden = cl->golden;
-    } else if (const auto* dv =
-                   std::get_if<SweepJob::DeviationUniverse>(&job.universe_)) {
+    if (const auto* dv =
+            std::get_if<SweepJob::DeviationUniverse>(&job.universe_)) {
         ctx.deviation = dv;
         ctx.members_total = dv->deviations_percent.size();
         ctx.behavioural.reserve(ctx.members_total);
@@ -296,14 +271,14 @@ JobSummary SweepService::run(const SweepJob& job,
                 core::deviated_biquad(dv->nominal, dev, dv->parameter));
         behavioural_golden.emplace(dv->nominal);
         golden = &*behavioural_golden;
-    } else {
-        const auto& fu = std::get<SweepJob::FaultUniverse>(job.universe_);
-        ctx.faults = &fu;
-        ctx.members_total = fu.faults.size();
+    } else if (const auto* fu =
+                   std::get_if<SweepJob::FaultUniverse>(&job.universe_)) {
+        ctx.faults = fu;
+        ctx.members_total = fu->faults.size();
         spice_golden.emplace(
-            std::make_unique<spice::Netlist>(fu.nominal->clone()),
-            fu.observation.input_source, fu.observation.x_node,
-            fu.observation.y_node, fu.observation.settle_periods);
+            std::make_unique<spice::Netlist>(fu->nominal->clone()),
+            fu->observation.input_source, fu->observation.x_node,
+            fu->observation.y_node, fu->observation.settle_periods);
         golden = &*spice_golden;
     }
     if (golden != nullptr)

@@ -5,9 +5,9 @@
 /// Long-lived sharded sweep service: the scale-out layer above
 /// core::BatchNdfEvaluator.
 ///
-/// A sweep job is one member universe — a SPICE fault universe, a
-/// behavioural deviation grid, or an explicit CUT list — screened against
-/// the pipeline's golden signature. The service shards the universe into
+/// A sweep job is one member universe — a SPICE fault universe or a
+/// behavioural deviation grid — screened against the pipeline's golden
+/// signature. The service shards the universe into
 /// contiguous work units, schedules units across a ThreadPool the service
 /// owns, and streams (member_id, ndf, signature) results incrementally
 /// through a callback, in member order, instead of materialising one giant
@@ -16,7 +16,7 @@
 /// The shard size is worked out per job unless the job sets its own
 /// (SweepJob::shard_size): a fault universe gets one member per unit,
 /// because SPICE member costs are uneven (the slowest Tow-Thomas fault
-/// takes about twice the mean); a deviation grid or CUT list gets
+/// takes about twice the mean); a deviation grid gets
 /// ceil(members / (4 x workers)) members per unit, clamped to
 /// [1, kMaxShardSize], so every worker has several units to claim.
 ///
@@ -115,17 +115,12 @@ private:
 };
 
 /// One sweep universe plus its golden. Build with the named factories; a
-/// default-constructed job is an empty CUT list (size 0, no golden) that
-/// run() rejects — it exists so wire decoders can declare-then-assign.
+/// default-constructed job is an empty universe (size 0, no golden) that
+/// run() completes at once — it exists so wire decoders can
+/// declare-then-assign.
 class SweepJob {
 public:
     SweepJob() = default;
-
-    /// Explicit CUT list. The pointed-to cuts must satisfy the Cut
-    /// thread-safety contract (distinct instances share no mutable state),
-    /// outlive the run, and `golden` must stay valid for the run as well.
-    [[nodiscard]] static SweepJob from_cuts(std::vector<const filter::Cut*> cuts,
-                                            const filter::Cut* golden);
 
     /// Behavioural deviation grid: one BehaviouralCut per deviation of the
     /// nominal Biquad (the Fig. 8 universe shape); golden = the nominal.
@@ -164,10 +159,6 @@ private:
     // parsed only at the end of the outermost class, which would make these
     // look non-default-constructible to the std::variant member below. The
     // factories set every field.
-    struct CutListUniverse {
-        std::vector<const filter::Cut*> cuts;
-        const filter::Cut* golden;
-    };
     struct DeviationUniverse {
         filter::Biquad nominal;
         std::vector<double> deviations_percent;
@@ -179,7 +170,8 @@ private:
         core::SpiceObservation observation;
     };
 
-    std::variant<CutListUniverse, DeviationUniverse, FaultUniverse> universe_;
+    /// monostate = the empty default-constructed job.
+    std::variant<std::monostate, DeviationUniverse, FaultUniverse> universe_;
 };
 
 /// The service. Owns the pipeline (set_golden mutates it per job) and a

@@ -10,23 +10,22 @@
 ///    `sweep_server --listen` (or in-process TcpListener). Connects with
 ///    bounded exponential-backoff retry (a worker that is still booting,
 ///    or a connection broken mid-job, is retried rather than failed on
-///    the first ECONNREFUSED), then performs the protocol handshake on
-///    the ready banner: the peer's `version` must be <= this build's
-///    kProtocolVersion or the connection is rejected up front. The banner
-///    itself is buffered and re-delivered by the first read_line(), so
-///    the driver's own handshake logic is byte-for-byte the pipe path's.
-///    Line framing is shared with ProcessTransport (fd_io.h) — one
-///    '\n'-terminated JSON object per line, short writes and EINTR looped.
+///    the first ECONNREFUSED): at most 5 attempts within 10 s, backing off
+///    0.05 s, 0.1 s, ... up to 1 s between them. It does no handshake: the
+///    peer's ready banner is its first line, and FanoutDriver checks its
+///    protocol version as for every other transport. Line framing is
+///    fd_io.h's, shared with the pipe and loopback transports.
 ///
 ///  * TcpListener — the accept loop behind `sweep_server --listen`: binds
 ///    a port (0 = ephemeral; port() reports the bound one), accepts
-///    connections, and serves each with its own ServerSession — by
-///    default over its own SweepService (own worker pool, so N fan-out
-///    partitions connecting to one host actually run concurrently), or
-///    over one shared service (Options::share_service) when the host's
-///    core budget must be pinned. Usable in-process (tests, bench) and
-///    from the sweep_server binary; `run()` serves on the calling thread,
-///    `start()`/`stop()` manage a background accept thread.
+///    connections, and serves each with serve_peer() (transport.h), the
+///    session loop LoopbackTransport runs too — by default over its own
+///    SweepService (own worker pool, so N fan-out partitions connecting to
+///    one host actually run concurrently), or over one shared service
+///    (Options::share_service) when the host's core budget must be pinned.
+///    Usable in-process (tests, bench) and from the sweep_server binary;
+///    `run()` serves on the calling thread, `start()`/`stop()` manage a
+///    background accept thread.
 ///
 /// Thread-safety: TcpTransport follows the Transport contract (one
 /// coordinator thread). TcpListener::start/stop may be called from one
@@ -48,30 +47,13 @@ namespace xysig::server {
 
 class SweepService;
 
-struct TcpTransportOptions {
-    /// Connection attempts before giving up (first attempt included).
-    unsigned max_connect_attempts = 5;
-    /// Backoff before retry k is initial * 2^(k-1), capped at max.
-    double initial_backoff_seconds = 0.05;
-    double max_backoff_seconds = 1.0;
-    /// Total wall-clock budget across all connect attempts and backoffs.
-    double connect_timeout_seconds = 10.0;
-    /// Deadline for the peer's ready banner. The constructor always waits
-    /// for it and rejects a peer whose protocol version is newer than this
-    /// build (the banner is re-delivered by the first read_line, so the
-    /// driver still sees it).
-    double handshake_timeout_seconds = 10.0;
-};
-
 /// One NDJSON connection to a listening sweep server. The constructor
-/// connects (with retry/backoff) and handshakes; it throws Error when the
-/// peer cannot be reached within the budget or speaks an incompatible
-/// protocol version — FanoutDriver treats a throwing factory as a failed
-/// dispatch attempt.
+/// connects (with retry/backoff); it throws Error when the peer cannot be
+/// reached within the budget — FanoutDriver treats a throwing factory as
+/// a failed dispatch attempt.
 class TcpTransport final : public Transport {
 public:
-    TcpTransport(std::string host, unsigned short port,
-                 TcpTransportOptions options = {});
+    TcpTransport(std::string host, unsigned short port);
     ~TcpTransport() override;
 
     TcpTransport(const TcpTransport&) = delete;
@@ -89,8 +71,7 @@ public:
     }
 
 private:
-    void connect(const TcpTransportOptions& options);
-    void handshake(const TcpTransportOptions& options);
+    void connect();
 
     std::string host_;
     unsigned short port_ = 0;
@@ -115,10 +96,6 @@ public:
         /// concurrent connections serialise on its worker pool) instead of
         /// one service per connection.
         bool share_service = false;
-        /// Test hook: advertise this protocol version in the ready banner
-        /// instead of the real one (0 = real), so handshake rejection of
-        /// newer-than-supported peers is testable against a live socket.
-        int ready_version_override = 0;
     };
 
     explicit TcpListener(Options options); ///< binds + listens; throws Error

@@ -1,16 +1,16 @@
 #include "server/transport.h"
 
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstring>
 
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/contracts.h"
+#include "common/error.h"
 #include "server/fd_io.h"
 #include "server/wire.h"
 
@@ -138,106 +138,91 @@ std::string ProcessTransport::describe() const {
 // ---------------------------------------------------------- LoopbackTransport
 
 LoopbackTransport::LoopbackTransport(Options options) : options_(options) {
+    detail::ignore_sigpipe_once();
     SweepServiceOptions sopts;
     sopts.workers = options_.workers;
     service_ = std::make_unique<SweepService>(
         make_paper_pipeline(options_.samples_per_period), sopts);
-    session_ = std::make_unique<ServerSession>(
-        *service_, [this](const std::string& line) {
-            MutexLock lock(mutex_);
-            if (dead_)
-                return; // a crashed process emits nothing further
-            responses_.push_back(line);
-            if (options_.die_after_results != 0 &&
-                line.find("\"event\":\"result\"") != std::string::npos &&
-                ++results_emitted_ >= options_.die_after_results) {
-                // Simulated worker death: exactly die_after_results result
-                // lines made it out, everything after is lost. Cancel the
-                // in-flight job so the session thread winds down.
-                dead_ = true;
-                session_->cancel("");
-            }
-            response_cv_.notify_all();
+
+    // O_CLOEXEC for the same reason as ProcessTransport's pipes: a child
+    // spawned by a sibling transport must not keep this peer alive.
+    int fds[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0)
+        throw Error(errno_message("socketpair"));
+    fd_ = fds[0];
+    served_fd_ = fds[1];
+    try {
+        thread_ = std::thread([this] {
+            serve_peer(served_fd_, *service_, options_.samples_per_period,
+                       SessionOptions{});
         });
-    thread_ = std::thread([this] { server_main(); });
+    } catch (...) {
+        ::close(fd_);
+        ::close(served_fd_);
+        throw;
+    }
 }
 
 LoopbackTransport::~LoopbackTransport() { shutdown(); }
 
-void LoopbackTransport::server_main() {
-    session_->emit_ready(options_.samples_per_period);
-    while (true) {
-        std::string line;
-        {
-            MutexLock lock(mutex_);
-            request_cv_.wait(lock, [&]() REQUIRES(mutex_) {
-                return stopping_ || !requests_.empty();
-            });
-            if (stopping_ || dead_)
-                break;
-            line = std::move(requests_.front());
-            requests_.pop_front();
-        }
-        if (!session_->handle_line(line))
-            break; // quit
-        MutexLock lock(mutex_);
-        if (stopping_ || dead_)
-            break;
-    }
-    MutexLock lock(mutex_);
-    dead_ = true;
-    response_cv_.notify_all();
-}
-
 bool LoopbackTransport::send_line(const std::string& line) {
-    // Cancels are queued like any other line: handle_line returns as soon
-    // as a job is queued, so the session thread reaches them promptly.
-    MutexLock lock(mutex_);
-    if (dead_ || stopping_)
-        return false;
-    requests_.push_back(line);
-    request_cv_.notify_all();
-    return true;
+    return fd_ >= 0 && detail::fd_write_line(fd_, line);
 }
 
 Transport::ReadStatus LoopbackTransport::read_line(std::string& out,
                                                    double timeout_seconds) {
-    MutexLock lock(mutex_);
-    const auto readable = [&]() REQUIRES(mutex_) {
-        return !responses_.empty() || dead_;
-    };
-    if (timeout_seconds <= 0.0) {
-        response_cv_.wait(lock, readable);
-    } else if (!response_cv_.wait_for(
-                   lock, std::chrono::duration<double>(timeout_seconds),
-                   readable)) {
-        return ReadStatus::timeout;
-    }
-    if (!responses_.empty()) { // drain buffered lines before reporting death
-        out = std::move(responses_.front());
-        responses_.pop_front();
-        return ReadStatus::line;
-    }
-    return ReadStatus::closed;
+    return detail::fd_read_line(fd_, buffer_, out, timeout_seconds);
 }
 
 void LoopbackTransport::shutdown() {
-    {
-        MutexLock lock(mutex_);
-        stopping_ = true;
-        request_cv_.notify_all();
+    if (fd_ >= 0) {
+        ::close(fd_); // the session reads EOF (or EPIPE mid-write) and exits
+        fd_ = -1;
     }
-    if (session_ != nullptr)
-        session_->cancel(""); // unblock an in-flight job promptly
     if (thread_.joinable())
         thread_.join();
-    MutexLock lock(mutex_);
-    dead_ = true;
-    response_cv_.notify_all();
+    if (served_fd_ >= 0) {
+        ::close(served_fd_);
+        served_fd_ = -1;
+    }
 }
 
 std::string LoopbackTransport::describe() const {
     return "loopback[workers=" + std::to_string(options_.workers) + "]";
+}
+
+// ----------------------------------------------------------------- serve_peer
+
+void serve_peer(int fd, SweepService& service, std::size_t samples_per_period,
+                const SessionOptions& options) noexcept {
+    try {
+        ServerSession session(
+            service,
+            [fd](const std::string& line) {
+                // A dead peer surfaces as a failed write; the reader loop
+                // below notices the close and tears the session down.
+                detail::fd_write_line(fd, line);
+            },
+            options);
+        session.emit_ready(samples_per_period);
+        // No read timeout: shutting the socket down (the peer's close, or
+        // TcpListener::stop) wakes the read with EOF.
+        std::string buffer;
+        std::string line;
+        while (detail::fd_read_line(fd, buffer, line, 0.0) ==
+               Transport::ReadStatus::line) {
+            if (!session.handle_line(line))
+                break; // quit (drained inside handle_line)
+        }
+        session.cancel(""); // abandon in-flight work promptly
+    } catch (const std::exception&) {
+        // Per-peer failures (OOM, thread creation) must not take down the
+        // host; the peer just sees its socket close.
+    }
+    // Send FIN but do NOT close: TcpListener::stop may be poking this fd
+    // concurrently to unblock the read, so the close (which would free the
+    // fd number for reuse) happens in exactly one place, in the caller.
+    ::shutdown(fd, SHUT_RDWR);
 }
 
 } // namespace xysig::server

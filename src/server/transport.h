@@ -3,30 +3,38 @@
 
 /// \file transport.h
 /// Line transports for the fan-out driver: one Transport == one worker
-/// peer speaking the NDJSON protocol (docs/PROTOCOL.md).
+/// peer speaking the NDJSON protocol (docs/PROTOCOL.md). Every peer is a
+/// file descriptor framed by fd_io.h, and every served socket runs the one
+/// session loop, serve_peer():
 ///
 ///  * ProcessTransport launches a `sweep_server` child process and pipes
 ///    request lines to its stdin / event lines from its stdout — the
 ///    production multi-process path.
-///  * LoopbackTransport runs a real ServerSession over in-process queues
-///    on a private SweepService — byte-for-byte the same protocol with no
-///    child processes, so fan-out tests are deterministic and fast, and
-///    worker death is injectable (die_after_results).
+///  * LoopbackTransport is one end of a socketpair(AF_UNIX, SOCK_STREAM);
+///    serve_peer() serves the other end on a private thread over a private
+///    SweepService. It is a TCP connection without the network, so fan-out
+///    tests run in-process and need no child processes. Worker death is
+///    injected with ChaosTransport (chaos.h), as for every other peer.
+///  * TcpTransport (tcp_transport.h) connects to a TcpListener, which
+///    serves each accepted socket with serve_peer() too.
+///
+/// The transports do no handshake of their own: the peer's first line is
+/// its ready banner, and FanoutDriver checks its protocol version.
 ///
 /// Thread-safety: one transport is driven by one coordinator thread
 /// (send_line / read_line are not required to be concurrently callable);
 /// shutdown() may be called from that same thread only.
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/annotated_mutex.h"
-
 namespace xysig::server {
+
+class SweepService;
+struct SessionOptions;
 
 /// One NDJSON peer connection.
 class Transport {
@@ -34,7 +42,7 @@ public:
     enum class ReadStatus {
         line,    ///< a complete line was read into `out`
         timeout, ///< nothing arrived within the timeout; peer still alive
-        closed,  ///< the peer is gone (process exit / injected death)
+        closed,  ///< the peer is gone (process exit / socket closed)
     };
 
     virtual ~Transport() = default;
@@ -48,8 +56,8 @@ public:
     /// peer reports ReadStatus::closed.
     virtual ReadStatus read_line(std::string& out, double timeout_seconds) = 0;
 
-    /// Tears the peer down (closes the child's stdin and reaps it / stops
-    /// the loopback session thread). Idempotent.
+    /// Tears the peer down (closes the child's stdin and reaps it / closes
+    /// the socket). Idempotent.
     virtual void shutdown() = 0;
 
     /// Human-readable peer description for error messages and summaries.
@@ -81,17 +89,15 @@ private:
     std::string buffer_; ///< partial-line carry between reads
 };
 
-/// In-process peer: a real ServerSession on a private SweepService (the
-/// paper pipeline, as in sweep_server), bridged through string queues.
+/// In-process peer: the client end of a socketpair whose other end
+/// serve_peer() serves over a private SweepService (the paper pipeline,
+/// as in sweep_server). shutdown() closes the client end; the session
+/// reads EOF, cancels its jobs and exits, and the thread is joined.
 class LoopbackTransport final : public Transport {
 public:
     struct Options {
         unsigned workers = 2;
         std::size_t samples_per_period = 256;
-        /// Fault injection: after this many result lines the peer "dies" —
-        /// emitted lines stop, reads drain then report closed, the
-        /// in-flight job is cancelled. 0 = healthy peer.
-        std::size_t die_after_results = 0;
     };
 
     // No `Options options = {}` default argument: NSDMIs of a nested class
@@ -110,26 +116,24 @@ public:
     [[nodiscard]] std::string describe() const override;
 
 private:
-    void server_main() EXCLUDES(mutex_);
-
     Options options_;
-
-    Mutex mutex_;
-    CondVar request_cv_;
-    CondVar response_cv_;
-    std::deque<std::string> requests_ GUARDED_BY(mutex_);
-    std::deque<std::string> responses_ GUARDED_BY(mutex_);
-    bool stopping_ GUARDED_BY(mutex_) = false; ///< shutdown requested;
-                                               ///< session thread must exit
-    bool dead_ GUARDED_BY(mutex_) = false;     ///< peer gone (injected death
-                                               ///< or session exit)
-    std::size_t results_emitted_ GUARDED_BY(mutex_) = 0;
-
-    // Owned service/session; pointers so the header stays light.
-    std::unique_ptr<class SweepService> service_;
-    std::unique_ptr<class ServerSession> session_;
+    int fd_ = -1;        ///< client end; -1 once shut down
+    int served_fd_ = -1; ///< served end; closed after the thread is joined
+    std::string buffer_; ///< partial-line carry between reads
+    std::unique_ptr<SweepService> service_;
     std::thread thread_;
 };
+
+/// The session loop of every served socket (TcpListener connections and
+/// LoopbackTransport): a ServerSession over `service` writes its events to
+/// `fd`, emits the ready banner, then handles each request line read from
+/// `fd` until the peer quits, reaches EOF, or the socket is shut down
+/// under it. On exit it cancels in-flight jobs and shuts `fd` down in both
+/// directions, but does not close it: the caller closes `fd` once no other
+/// thread can touch the number. Never throws; a failure inside the session
+/// only ends this peer.
+void serve_peer(int fd, SweepService& service, std::size_t samples_per_period,
+                const SessionOptions& options) noexcept;
 
 } // namespace xysig::server
 

@@ -133,15 +133,21 @@ WireJob parse_wire_job(const JsonValue& v) {
         wire.parameter = param == "f0" ? core::SweptParameter::f0
                                        : core::SweptParameter::q;
         if (v.has("deviations")) {
-            for (const JsonValue& d : v.at("deviations").as_array())
+            const JsonValue::Array& list = v.at("deviations").as_array();
+            if (list.size() > kMaxUniverseMembers)
+                throw InvalidInput("wire: deviations lists at most " +
+                                   std::to_string(kMaxUniverseMembers) +
+                                   " members");
+            for (const JsonValue& d : list)
                 wire.deviations.push_back(d.as_number());
         } else {
             const JsonValue& grid = v.at("grid");
             const double from = grid.at("from").as_number();
             const double to = grid.at("to").as_number();
             const std::size_t count = index_field(grid.at("count"), "grid.count");
-            if (count < 2)
-                throw InvalidInput("wire: grid.count must be >= 2");
+            if (count < 2 || count > kMaxUniverseMembers)
+                throw InvalidInput("wire: grid.count must be in [2, " +
+                                   std::to_string(kMaxUniverseMembers) + "]");
             for (std::size_t i = 0; i < count; ++i)
                 wire.deviations.push_back(from + (to - from) *
                                                      static_cast<double>(i) /

@@ -13,8 +13,8 @@
 ///    partitions);
 ///  * ServerSession — runs decoded requests against a SweepService and
 ///    emits the event stream through a line sink; one instance per
-///    protocol peer (stdin/stdout in sweep_server, an in-process queue
-///    pair in LoopbackTransport);
+///    protocol peer (stdin/stdout in sweep_server, a socket served by
+///    serve_peer in TcpListener and LoopbackTransport);
 ///  * check_protocol_line — strict schema validation of any protocol line
 ///    (request or event), used by `sweep_server --check` so CI can replay
 ///    the PROTOCOL.md examples against the real parser.
@@ -73,6 +73,12 @@ make_paper_pipeline(std::size_t samples_per_period);
 /// times, so two strings compare equal iff the chronograms are
 /// bit-identical.
 [[nodiscard]] std::string signature_string(const capture::Chronogram& ch);
+
+/// Largest deviation universe one job line may name. A `grid.count` or
+/// an explicit `deviations` list above it is rejected at decode, before
+/// any member or cache key is built, so one line cannot make the reader
+/// thread allocate without bound (docs/PROTOCOL.md).
+inline constexpr std::size_t kMaxUniverseMembers = 1'000'000;
 
 /// Non-negative integer out of a wire JSON number, bounded at 2^53 (above
 /// that a double cannot represent every integer, and an unchecked cast to
@@ -165,7 +171,7 @@ struct SessionOptions {
 ///
 /// Thread-safety: handle_line()/drain() are driven by ONE reader thread;
 /// cancel() may be called concurrently from any thread, the sink included
-/// (LoopbackTransport's injected death, a signal handler thread); the sink
+/// (a signal handler thread, a socket's session loop); the sink
 /// is invoked under an internal lock, one complete line at a time.
 class ServerSession {
 public:

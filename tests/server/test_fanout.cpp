@@ -3,8 +3,10 @@
 // universe at any partition count — across empty partitions,
 // single-member partitions, NaN members straddling partition boundaries,
 // worker death mid-partition (re-dispatch), and cooperative cancellation
-// fan-out. All tests use LoopbackTransport: a real ServerSession speaking
-// the real wire format, deterministically in-process.
+// fan-out — and it refuses a peer whose ready banner names a newer
+// protocol version, whatever the transport. The tests use
+// LoopbackTransport (a real ServerSession speaking the real wire format
+// over an in-process socketpair); the version check also runs over TCP.
 
 #include "server/fanout.h"
 
@@ -25,6 +27,7 @@
 #include "common/error.h"
 #include "common/strings.h"
 #include "server/chaos.h"
+#include "server/tcp_transport.h"
 #include "server/transport.h"
 #include "server/wire.h"
 
@@ -33,13 +36,24 @@ namespace {
 
 constexpr std::size_t kSpp = 256;
 
-[[nodiscard]] FanoutDriver::TransportFactory
-loopback_factory(std::size_t die_after_results = 0) {
+[[nodiscard]] FanoutDriver::TransportFactory loopback_factory() {
     LoopbackTransport::Options opts;
     opts.workers = 2;
     opts.samples_per_period = kSpp;
-    opts.die_after_results = die_after_results;
     return [opts] { return std::make_unique<LoopbackTransport>(opts); };
+}
+
+/// Lines a peer emits before its first result: ready, queued, job_start
+/// (the driver turns progress events off; loopback peers send no
+/// heartbeats).
+constexpr std::size_t kLinesBeforeResults = 3;
+
+/// A disconnect that fires once `results` result lines are through.
+[[nodiscard]] ChaosPlan die_after_results(std::size_t results) {
+    ChaosPlan plan;
+    plan.mode = ChaosMode::disconnect;
+    plan.after_lines = kLinesBeforeResults + results;
+    return plan;
 }
 
 struct ExpectedMember {
@@ -241,18 +255,16 @@ TEST(FanoutDriver, WorkerDeathMidPartitionIsRedispatchedBitIdentically) {
     // worker mid-range and must resume at member 5 of its range on a
     // fresh transport, with nothing delivered twice.
     unsigned transports_made = 0;
-    auto factory = [&transports_made]() -> std::unique_ptr<Transport> {
-        LoopbackTransport::Options opts;
-        opts.workers = 2;
-        opts.samples_per_period = kSpp;
-        opts.die_after_results = transports_made++ == 0 ? 5 : 0;
-        return std::make_unique<LoopbackTransport>(opts);
+    const auto base = loopback_factory();
+    auto counted = [&transports_made, base] {
+        ++transports_made;
+        return base();
     };
 
     FanoutOptions opts;
     opts.partitions = 2;
     opts.verify_single_process = true;
-    FanoutDriver driver(factory, opts);
+    FanoutDriver driver(chaos_factory(counted, die_after_results(5)), opts);
 
     std::vector<FanoutRecord> merged;
     const FanoutSummary summary =
@@ -271,7 +283,10 @@ TEST(FanoutDriver, ExhaustedDispatchAttemptsFailTheRun) {
     FanoutOptions opts;
     opts.partitions = 2;
     opts.max_attempts = 2;
-    FanoutDriver driver(loopback_factory(/*die_after_results=*/2), opts);
+    FanoutDriver driver(
+        chaos_factory(loopback_factory(), die_after_results(2),
+                      std::numeric_limits<std::size_t>::max()),
+        opts);
     const std::string job =
         R"({"job":"deviations","grid":{"from":-10,"to":10,"count":40}})";
     EXPECT_THROW((void)driver.run(job, [](const FanoutRecord&) {}), Error);
@@ -340,13 +355,13 @@ private:
     Rewrite rewrite_;
 };
 
-/// Loopback peers behind TappedTransport; `logs` gets one sent-line log
-/// per transport made (the driver serialises factory calls, and each log
-/// is written only by its own partition thread).
+/// `base` peers (loopback by default) behind TappedTransport; `logs` gets
+/// one sent-line log per transport made (the driver serialises factory
+/// calls, and each log is written only by its own partition thread).
 [[nodiscard]] FanoutDriver::TransportFactory
 tapped_factory(std::vector<std::shared_ptr<std::vector<std::string>>>& logs,
-               TappedTransport::Rewrite rewrite = {}) {
-    auto base = loopback_factory();
+               TappedTransport::Rewrite rewrite = {},
+               FanoutDriver::TransportFactory base = loopback_factory()) {
     return [&logs, base, rewrite] {
         logs.push_back(std::make_shared<std::vector<std::string>>());
         return std::make_unique<TappedTransport>(base(), logs.back(), rewrite);
@@ -413,6 +428,55 @@ TEST(FanoutDriver, MalformedNdfHexMarksThePeerDead) {
         EXPECT_THROW((void)driver.run(job, [](const FanoutRecord&) {}), Error)
             << "ndf_hex \"" << bad << "\"";
     }
+}
+
+/// Runs a 2-partition job over `base` peers whose ready banner is
+/// rewritten to a protocol version this build does not speak: the run
+/// must fail with an Error naming that version, before any job is sent.
+void expect_newer_peer_rejected(FanoutDriver::TransportFactory base) {
+    const int future = kProtocolVersion + 1;
+    const auto rewrite = [future](const std::string& line) {
+        const JsonValue v = JsonValue::parse(line);
+        if (v.string_or("event", "") != "ready")
+            return line;
+        JsonValue::Object o = v.as_object();
+        o.insert_or_assign("version", JsonValue(future));
+        return JsonValue(std::move(o)).dump();
+    };
+    std::vector<std::shared_ptr<std::vector<std::string>>> logs;
+    FanoutOptions opts;
+    opts.partitions = 2;
+    FanoutDriver driver(tapped_factory(logs, rewrite, std::move(base)), opts);
+    const std::string job = R"({"job":"deviations","deviations":[-10,0,10]})";
+    try {
+        (void)driver.run(job, [](const FanoutRecord&) {});
+        FAIL() << "the driver accepted a peer speaking version " << future;
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("version " +
+                                             std::to_string(future)),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(logs.empty());
+    for (const auto& log : logs)
+        for (const std::string& line : *log)
+            EXPECT_FALSE(JsonValue::parse(line).has("job")) << line;
+}
+
+TEST(FanoutDriver, NewerPeerProtocolVersionFailsTheRunOverLoopback) {
+    expect_newer_peer_rejected(loopback_factory());
+}
+
+TEST(FanoutDriver, NewerPeerProtocolVersionFailsTheRunOverTcp) {
+    TcpListener::Options lopts;
+    lopts.bind_address = "127.0.0.1";
+    lopts.workers = 2;
+    lopts.samples_per_period = kSpp;
+    TcpListener listener(lopts);
+    listener.start();
+    const unsigned short port = listener.port();
+    expect_newer_peer_rejected(
+        [port] { return std::make_unique<TcpTransport>("127.0.0.1", port); });
 }
 
 TEST(FanoutDriver, RejectsJobsWithAnExplicitMemberRange) {

@@ -122,7 +122,7 @@ TEST(Json, RejectsNonRfc8259Numbers) {
 
 TEST(Json, NestingDepthIsBounded) {
     // An adversarial line of ~100k '[' used to recurse once per bracket and
-    // overflow the stack; depth is now capped (default 64) with a clean
+    // overflow the stack; depth is now capped (kMaxJsonDepth) with a clean
     // InvalidInput instead.
     const auto nested = [](std::size_t depth) {
         return std::string(depth, '[') + "1" + std::string(depth, ']');
@@ -137,11 +137,6 @@ TEST(Json, NestingDepthIsBounded) {
     for (std::size_t i = 0; i < 50; ++i)
         mixed = "{\"k\":[" + mixed + "]}";
     EXPECT_THROW((void)JsonValue::parse(mixed), InvalidInput);
-    // The cap is a parse option, not a hard constant.
-    JsonParseOptions deep;
-    deep.max_depth = 200;
-    EXPECT_NO_THROW((void)JsonValue::parse(nested(200), deep));
-    EXPECT_THROW((void)JsonValue::parse(nested(201), deep), InvalidInput);
 }
 
 TEST(Json, DuplicateKeysRejectedInStrictMode) {
@@ -229,6 +224,21 @@ TEST(Wire, MemberRangeSlicesTheUniverse) {
                  InvalidInput);
     EXPECT_THROW((void)parse_wire_job(JsonValue::parse(
                      R"({"job":"deviations","deviations":[0,1],"members":{"first":1,"count":2}})")),
+                 InvalidInput);
+}
+
+TEST(Wire, UniverseCapIsInclusive) {
+    // kMaxUniverseMembers itself decodes (the sliced range keeps the
+    // result small); one more is a schema error.
+    const auto grid_job = [](std::size_t count) {
+        return JsonValue::parse(
+            R"({"job":"deviations","grid":{"from":-1,"to":1,"count":)" +
+            std::to_string(count) + R"(},"members":{"first":0,"count":1}})");
+    };
+    const WireJob at_cap = parse_wire_job(grid_job(kMaxUniverseMembers));
+    EXPECT_EQ(at_cap.universe_members, kMaxUniverseMembers);
+    EXPECT_EQ(at_cap.job.size(), 1u);
+    EXPECT_THROW((void)parse_wire_job(grid_job(kMaxUniverseMembers + 1)),
                  InvalidInput);
 }
 

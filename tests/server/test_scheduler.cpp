@@ -4,7 +4,8 @@
 // priority ordering (no inversion), whole-job cache hits that stream with
 // zero netlist clones, and clean cancellation of queued and running jobs —
 // including scheduler teardown with a backlog. Every job's observer calls
-// arrive in order and never overlap.
+// arrive in order and never overlap. An oversized universe is refused at
+// decode, before it is built, and the session keeps serving.
 
 #include "server/scheduler.h"
 
@@ -13,11 +14,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <system_error>
@@ -34,6 +37,27 @@
 #include "server/json.h"
 #include "server/wire.h"
 #include "spice/netlist.h"
+
+// Allocation probe: while armed, records the largest single heap request
+// (a universe built before its size check would ask for megabytes at once).
+namespace {
+std::atomic<bool> g_probe_armed{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+} // namespace
+
+void* operator new(std::size_t size) {
+    if (g_probe_armed.load(std::memory_order_relaxed)) {
+        std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+        while (size > seen && !g_largest_allocation.compare_exchange_weak(
+                                  seen, size, std::memory_order_relaxed)) {
+        }
+    }
+    if (void* p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace xysig::server {
 namespace {
@@ -779,6 +803,55 @@ TEST(ServerSession, DomainErrorIsOneErrorEventWithoutSourcePath) {
             << lines[0];
         EXPECT_NO_THROW(check_protocol_line(lines[0])) << lines[0];
     }
+}
+
+// grid.count at 2^53 (the largest index_field admits) and one past the
+// universe cap are refused with one error event each before anything is
+// built, and the session then serves the next job normally.
+TEST(ServerSession, OversizedUniverseIsRejectedBeforeItIsBuilt) {
+    SweepService service(make_pipeline(), {.workers = 1});
+    const std::string over_cap = std::to_string(kMaxUniverseMembers + 1);
+    std::size_t largest = 0;
+    const std::vector<std::string> lines =
+        session_lines(service, [&](ServerSession& session) {
+            g_largest_allocation.store(0);
+            g_probe_armed.store(true);
+            ASSERT_TRUE(session.handle_line(
+                R"({"job":"deviations","id":"huge","grid":{"from":-1,"to":1,"count":9007199254740992}})"));
+            ASSERT_TRUE(session.handle_line(
+                R"({"job":"deviations","id":"over","grid":{"from":-1,"to":1,"count":)" +
+                over_cap + "}}"));
+            g_probe_armed.store(false);
+            largest = g_largest_allocation.load();
+            ASSERT_TRUE(session.handle_line(
+                R"({"job":"deviations","id":"ok","deviations":[-5,5]})"));
+        });
+    // Two universes of at least a million doubles were named; neither was
+    // allocated (the request lines themselves are under 200 bytes).
+    EXPECT_LT(largest, std::size_t{64} * 1024);
+
+    std::vector<std::string> error_ids;
+    std::size_t ok_results = 0;
+    bool ok_done = false;
+    for (const std::string& l : lines) {
+        const JsonValue v = JsonValue::parse(l);
+        const std::string event = v.at("event").as_string();
+        if (event == "error") {
+            error_ids.push_back(v.string_or("id", ""));
+            EXPECT_NE(v.at("message").as_string().find("grid.count"),
+                      std::string::npos)
+                << l;
+        } else if (event == "result") {
+            EXPECT_EQ(v.at("id").as_string(), "ok") << l;
+            ++ok_results;
+        } else if (event == "job_done") {
+            EXPECT_EQ(v.at("id").as_string(), "ok") << l;
+            ok_done = !v.at("cancelled").as_bool();
+        }
+    }
+    EXPECT_EQ(error_ids, (std::vector<std::string>{"huge", "over"}));
+    EXPECT_EQ(ok_results, 2u);
+    EXPECT_TRUE(ok_done);
 }
 
 /// Threads of this process, or nullopt where /proc/self/task is absent.

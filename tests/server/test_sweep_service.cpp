@@ -110,32 +110,6 @@ TEST(SweepService, StreamsSignaturesAndLabels) {
     }
 }
 
-TEST(SweepService, ExplicitCutListMatchesBatchEvaluate) {
-    const filter::Biquad nominal = core::paper_biquad();
-    std::vector<filter::BehaviouralCut> cuts;
-    for (const double dev : grid(-15.0, 15.0, 64))
-        cuts.emplace_back(nominal.with_q_shift(dev / 100.0));
-    std::vector<const filter::Cut*> raw;
-    for (const auto& c : cuts)
-        raw.push_back(&c);
-    const filter::BehaviouralCut golden(nominal);
-
-    core::SignaturePipeline reference_pipe = make_pipeline();
-    reference_pipe.set_golden(golden);
-    const core::BatchNdfEvaluator batch(reference_pipe, {.threads = 2});
-    const std::vector<double> reference = batch.evaluate(raw);
-
-    SweepService service(make_pipeline(), {.workers = 3});
-    SweepJob job = SweepJob::from_cuts(raw, &golden);
-    job.shard_size = 5;
-    std::vector<double> streamed;
-    (void)service.run(job,
-                      [&](const SweepResult& r) { streamed.push_back(r.ndf); });
-    ASSERT_EQ(streamed.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_TRUE(same_bits(streamed[i], reference[i])) << "member " << i;
-}
-
 TEST(SweepService, SpiceUniverseOneClonePerWorkerAndBitIdenticalToBatch) {
     const auto circuit = filter::build_tow_thomas(
         filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
@@ -372,6 +346,14 @@ TEST(SweepService, EmptyJobCompletesImmediately) {
     EXPECT_EQ(summary.members_total, 0u);
     EXPECT_EQ(summary.shards_total, 0u);
     EXPECT_FALSE(summary.cancelled);
+
+    // A default-constructed job is an empty universe too.
+    const SweepJob empty;
+    EXPECT_EQ(empty.size(), 0u);
+    const JobSummary default_summary =
+        service.run(empty, [&](const SweepResult&) { ++calls; });
+    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(default_summary.members_total, 0u);
 }
 
 } // namespace
