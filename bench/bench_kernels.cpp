@@ -1,7 +1,8 @@
 // Per-stage throughput of the compiled signature kernels against the
 // virtual baseline: stimulus sampling (tone-table kernel vs per-sample
 // Waveform::value), zoning (CompiledMonitorBank::codes_into vs
-// MonitorBank::code), the fused zoning -> run-length-event path, the
+// MonitorBank::code, from scratch and fed with precomputed x-leg lanes),
+// the fused zoning -> run-length-event path, the
 // end-to-end NDF evaluation (the SignaturePipeline scratch path against
 // its virtual reference, chronogram() zoning through MonitorBank::code,
 // serial and at N batch threads), and the
@@ -227,6 +228,24 @@ void write_json(const std::string& path, bool smoke, std::size_t samples,
                           .virtual_rate = v_rate,
                           .compiled_rate = k_rate,
                           .passed = virt == kern});
+
+        // The same codes fed from x-leg lanes computed once for the trace,
+        // as every member whose x is the stimulus zones: only the y-driven
+        // legs are evaluated per call.
+        const std::vector<double> lanes =
+            compiled_bank.x_leg_lanes(xs, SampleMode::exact);
+        std::vector<unsigned> fed;
+        const double f_rate = rate_of(
+            [&] {
+                compiled_bank.codes_into(xs, ys, fed, SampleMode::exact, lanes);
+                benchmark::DoNotOptimize(fed.data());
+            },
+            static_cast<double>(samples), min_seconds);
+        stages.push_back({.name = "zoning, x-leg lanes",
+                          .unit = "samples/s",
+                          .virtual_rate = v_rate,
+                          .compiled_rate = f_rate,
+                          .passed = virt == fed});
     }
 
     // --- Stage 3: fused zoning + run-length events ----------------------

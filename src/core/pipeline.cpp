@@ -1,5 +1,6 @@
 #include "core/pipeline.h"
 
+#include <span>
 #include <utility>
 
 #include "common/contracts.h"
@@ -87,6 +88,10 @@ std::string SignaturePipeline::golden_cache_key(const filter::Cut& cut) const {
 }
 
 void SignaturePipeline::set_golden(const filter::Cut& golden_cut) {
+    std::shared_ptr<const std::vector<double>>& lanes = x_leg_lanes_[mode_index()];
+    if (lanes == nullptr)
+        lanes = std::make_shared<const std::vector<double>>(
+            compiled_bank_.x_leg_lanes(*stimulus_trace_, sample_mode()));
     NdfScratch scratch;
     std::shared_ptr<const capture::Chronogram> ideal;
     const std::string key = golden_cache_key(golden_cut);
@@ -122,22 +127,33 @@ double SignaturePipeline::ndf_of(const filter::Cut& cut, Rng* noise_rng) const {
 capture::Chronogram SignaturePipeline::ideal_chronogram(const filter::Cut& cut,
                                                         NdfScratch& scratch,
                                                         Rng* noise_rng) const {
+    const bool noisy = noise_rng != nullptr && options_.noise_sigma > 0.0;
     double dt = 0.0;
+    std::span<const double> xs;
+    std::span<const double> x_lanes;
     if (cut.x_is_stimulus()) {
         // x is the sampled stimulus bit for bit (the cut promised), so
-        // fill it from the shared immutable trace — sampled once per
-        // (stimulus, spp, mode) process-wide — and ask the cut for y
-        // only. This is the members×samples transcendental saving; in
-        // exact mode it is bit-identical to respond_into by construction.
-        const std::vector<double>& trace = *stimulus_trace_;
-        scratch.xs_.assign(trace.begin(), trace.end());
+        // zone straight from the shared immutable trace — sampled once per
+        // (stimulus, spp, mode) process-wide — and from its x-leg lanes,
+        // and ask the cut for y only. In exact mode this is bit-identical
+        // to respond_into and a from-scratch zoning by construction.
         cut.respond_y_into(stimulus_, options_.samples_per_period,
                            scratch.ys_, dt, sample_mode());
+        const std::vector<double>& trace = *stimulus_trace_;
+        if (noisy) {
+            scratch.xs_.assign(trace.begin(), trace.end());
+            xs = scratch.xs_;
+        } else {
+            xs = trace;
+            if (const auto& lanes = x_leg_lanes(); lanes != nullptr)
+                x_lanes = *lanes;
+        }
     } else {
         cut.respond_into(stimulus_, options_.samples_per_period, scratch.xs_,
                          scratch.ys_, dt);
+        xs = scratch.xs_;
     }
-    if (noise_rng != nullptr && options_.noise_sigma > 0.0) {
+    if (noisy) {
         // Same draw order as XyTrace::add_white_noise: all of x, then all
         // of y, so noisy results stay bit-identical to the allocating path.
         for (double& v : scratch.xs_)
@@ -148,10 +164,10 @@ capture::Chronogram SignaturePipeline::ideal_chronogram(const filter::Cut& cut,
     // Fused zoning -> run-length path: one devirtualised monitor pass per
     // bit-plane, then RLE over the code buffer. Bit-identical to
     // encode_events (tests/kernels pin this).
-    compiled_bank_.codes_into(scratch.xs_, scratch.ys_, scratch.codes_,
-                              sample_mode());
+    compiled_bank_.codes_into(xs, scratch.ys_, scratch.codes_, sample_mode(),
+                              x_lanes);
     capture::Chronogram::encode_codes(scratch.codes_, dt, scratch.events_);
-    const double period = dt * static_cast<double>(scratch.xs_.size());
+    const double period = dt * static_cast<double>(xs.size());
     return capture::Chronogram(period, static_cast<unsigned>(bank_.size()),
                                scratch.events_);
 }

@@ -7,7 +7,10 @@
 /// golden signature. This is the paper's complete verification flow in one
 /// object.
 
+#include <array>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "capture/capture_unit.h"
 #include "core/ndf.h"
@@ -92,6 +95,13 @@ public:
     /// to recomputation; quantisation (options().quantise) is applied after
     /// lookup because it depends on the capture options, which are
     /// deliberately outside the key.
+    ///
+    /// The first set_golden under a sampling mode also computes the
+    /// x-driven leg lanes of the stimulus trace for that mode
+    /// (x_leg_lanes()); later calls, and calls after flipping the mode
+    /// away and back, reuse them. This is the single-threaded point before
+    /// a job's members are evaluated, and it keeps the work out of the
+    /// constructor, which stays as cheap as sampling the stimulus.
     void set_golden(const filter::Cut& golden_cut);
 
     /// The cache key set_golden files the ideal golden chronogram under:
@@ -109,12 +119,24 @@ public:
     void set_fast_math(bool enable);
 
     /// The immutable per-(stimulus, spp, mode) trace shared through the
-    /// process-wide StimulusTraceCache; every x_is_stimulus() member of a
-    /// job reads this one buffer instead of re-sampling the stimulus.
-    /// Exposed for tests and the bench probes.
+    /// process-wide StimulusTraceCache. Every x_is_stimulus() member of a
+    /// job zones straight from this one buffer (no per-member copy)
+    /// instead of re-sampling the stimulus; a member with noise copies it
+    /// and adds the noise to the copy. Exposed for tests and the bench
+    /// probes.
     [[nodiscard]] const std::shared_ptr<const std::vector<double>>&
     stimulus_trace() const noexcept {
         return stimulus_trace_;
+    }
+
+    /// CompiledMonitorBank::x_leg_lanes of stimulus_trace() under the
+    /// current mode, or null before the first set_golden under it. Every
+    /// noise-free x_is_stimulus() member zones from these lanes plus its
+    /// own y-driven legs, so the x-leg currents are evaluated once per
+    /// pipeline and mode rather than once per member. Exposed for tests.
+    [[nodiscard]] const std::shared_ptr<const std::vector<double>>&
+    x_leg_lanes() const noexcept {
+        return x_leg_lanes_[mode_index()];
     }
     [[nodiscard]] bool has_golden() const noexcept { return golden_.has_value(); }
     [[nodiscard]] const capture::Chronogram& golden() const;
@@ -158,6 +180,9 @@ private:
     [[nodiscard]] SampleMode sample_mode() const noexcept {
         return options_.fast_math ? SampleMode::fast_math : SampleMode::exact;
     }
+    [[nodiscard]] std::size_t mode_index() const noexcept {
+        return static_cast<std::size_t>(sample_mode());
+    }
 
     /// (Re)fetches stimulus_trace_ from the StimulusTraceCache for the
     /// current (stimulus, samples_per_period, mode); called at
@@ -169,6 +194,10 @@ private:
     MultitoneWaveform stimulus_;
     PipelineOptions options_;
     std::shared_ptr<const std::vector<double>> stimulus_trace_;
+    /// x_leg_lanes() per SampleMode (index = mode); the bank, stimulus and
+    /// samples_per_period are fixed for the pipeline's life, so the mode
+    /// is the whole key.
+    std::array<std::shared_ptr<const std::vector<double>>, 2> x_leg_lanes_;
     std::optional<capture::Chronogram> golden_;
 };
 

@@ -1,6 +1,7 @@
 #include "kernels/compiled_monitor_bank.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
@@ -101,11 +102,36 @@ CompiledMonitorBank CompiledMonitorBank::compile(const monitor::MonitorBank& ban
         }
         out.fallback_.push_back({mask, b.clone()});
     }
+
+    // x-driven legs first, so the x lanes (which a caller may supply) and
+    // the y lanes are two contiguous blocks of the lane table. Stable, so
+    // the order within each block is first-use order.
+    std::vector<std::uint32_t> remap(out.legs_.size());
+    std::vector<MosLeg> ordered;
+    ordered.reserve(out.legs_.size());
+    for (const bool x_block : {true, false}) {
+        for (std::size_t u = 0; u < out.legs_.size(); ++u) {
+            if (out.legs_[u].x_input != x_block)
+                continue;
+            remap[u] = static_cast<std::uint32_t>(ordered.size());
+            ordered.push_back(out.legs_[u]);
+        }
+        if (x_block)
+            out.n_x_legs_ = ordered.size();
+    }
+    out.legs_ = std::move(ordered);
+    for (MosMonitor& m : out.mos_)
+        for (MosTerm& t : m.terms)
+            if (!t.is_constant)
+                t.leg = remap[t.leg];
+    for (const MosLeg& leg : out.legs_)
+        out.any_ekv_ = out.any_ekv_ || leg.kind == LegKind::ekv;
     return out;
 }
 
 CompiledMonitorBank::CompiledMonitorBank(const CompiledMonitorBank& other)
-    : n_monitors_(other.n_monitors_), linear_(other.linear_), legs_(other.legs_),
+    : n_monitors_(other.n_monitors_), n_x_legs_(other.n_x_legs_),
+      any_ekv_(other.any_ekv_), linear_(other.linear_), legs_(other.legs_),
       mos_(other.mos_) {
     fallback_.reserve(other.fallback_.size());
     for (const FallbackMonitor& f : other.fallback_)
@@ -120,8 +146,7 @@ CompiledMonitorBank& CompiledMonitorBank::operator=(const CompiledMonitorBank& o
     return *this;
 }
 
-double CompiledMonitorBank::leg_value(const MosLeg& leg, double x, double y) {
-    const double vgs = leg.x_input ? x : y;
+double CompiledMonitorBank::leg_value(const MosLeg& leg, double vgs) {
     switch (leg.kind) {
     case LegKind::ekv: {
         // Same expressions (and rounding) as the id-only EKV model, with
@@ -148,75 +173,53 @@ double CompiledMonitorBank::leg_value(const MosLeg& leg, double x, double y) {
     return 0.0; // unreachable
 }
 
-double CompiledMonitorBank::mos_h(const MosMonitor& m, const double* leg_values) {
-    const auto term = [&](const MosTerm& t) {
-        return t.is_constant ? t.constant : leg_values[t.leg];
-    };
-    // Same association as MosCurrentBoundary::current_difference:
-    // (((I1 + I2) - I3) - I4) + offset, then the orientation sign.
-    const double diff = term(m.terms[0]) + term(m.terms[1]) - term(m.terms[2]) -
-                        term(m.terms[3]) + m.offset_current;
-    return m.orientation * diff;
-}
-
-bool CompiledMonitorBank::fast_mos_codes(const double* px, const double* py,
-                                         std::size_t n, unsigned* out) const {
-    bool any_ekv = false;
-    for (const MosLeg& leg : legs_)
-        any_ekv = any_ekv || leg.kind == LegKind::ekv;
-    if (!any_ekv)
-        return false; // nothing to batch; the exact loop is as fast
-
+bool CompiledMonitorBank::fast_domain(const double* v, std::size_t n,
+                                      bool x_input) const {
     // One pass over the trace: the softplus arguments are bounded by the
     // peak |vgs|, so a single max-excursion scan (NaN-rejecting: the
     // negated comparison is false for NaN) proves the whole batch stays
-    // inside the vecmath domain. Deterministic in the trace alone, so
-    // every process takes the same path for the same job.
-    double max_x = 0.0;
-    double max_y = 0.0;
+    // inside the vecmath domain.
+    double max_v = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const double ax = std::fabs(px[i]);
-        const double ay = std::fabs(py[i]);
-        if (!(ax <= kMaxZoneInput) || !(ay <= kMaxZoneInput))
+        const double a = std::fabs(v[i]);
+        if (!(a <= kMaxZoneInput))
             return false;
-        max_x = ax > max_x ? ax : max_x;
-        max_y = ay > max_y ? ay : max_y;
+        max_v = a > max_v ? a : max_v;
     }
     for (const MosLeg& leg : legs_) {
-        if (leg.kind != LegKind::ekv)
+        if (leg.kind != LegKind::ekv || leg.x_input != x_input)
             continue;
-        const double vgs_max = leg.x_input ? max_x : max_y;
         const double vp_max =
-            (vgs_max + std::fabs(leg.vt0)) / std::fabs(leg.n_slope);
+            (max_v + std::fabs(leg.vt0)) / std::fabs(leg.n_slope);
         const double arg_bound =
             0.5 * ((vp_max + std::fabs(leg.vds)) / kThermalVoltage300K);
         if (!(arg_bound <= vecmath::kMaxExpArgument))
             return false;
     }
+    return true;
+}
 
-    // Per-thread scratch: one value lane per unique leg, plus the packed
-    // (forward | reverse) softplus argument pair of the EKV legs.
-    thread_local std::vector<double> values;
+void CompiledMonitorBank::fill_lanes(std::size_t first, std::size_t last,
+                                     const double* v, std::size_t n,
+                                     bool fast, double* out) const {
+    // Per-thread scratch for the packed (forward | reverse) softplus
+    // argument pair of an EKV leg.
     thread_local std::vector<double> args;
     thread_local std::vector<double> sp;
-    values.resize(legs_.size() * n);
-    args.resize(2 * n);
-    sp.resize(2 * n);
-    for (std::size_t u = 0; u < legs_.size(); ++u) {
+    for (std::size_t u = first; u < last; ++u) {
         const MosLeg& leg = legs_[u];
-        double* const lv = values.data() + u * n;
-        if (leg.kind != LegKind::ekv) {
-            // level1/generic legs are cheap algebra (or rare); the scalar
-            // evaluator is already exact and branch-predictable.
+        double* const lane = out + (u - first) * n;
+        if (!fast || leg.kind != LegKind::ekv) {
             for (std::size_t i = 0; i < n; ++i)
-                lv[i] = leg_value(leg, px[i], py[i]);
+                lane[i] = leg_value(leg, v[i]);
             continue;
         }
         // Same argument expressions (and association) as leg_value's EKV
         // case; only the softplus evaluation changes.
+        args.resize(2 * n);
+        sp.resize(2 * n);
         for (std::size_t i = 0; i < n; ++i) {
-            const double vgs = leg.x_input ? px[i] : py[i];
-            const double vp = (vgs - leg.vt0) / leg.n_slope;
+            const double vp = (v[i] - leg.vt0) / leg.n_slope;
             args[i] = 0.5 * (vp / kThermalVoltage300K);
             args[n + i] = 0.5 * ((vp - leg.vds) / kThermalVoltage300K);
         }
@@ -224,34 +227,32 @@ bool CompiledMonitorBank::fast_mos_codes(const double* px, const double* py,
         for (std::size_t i = 0; i < n; ++i) {
             const double sf = sp[i];
             const double sr = sp[n + i];
-            lv[i] = (leg.ispec * (sf * sf - sr * sr)) * leg.clm;
+            lane[i] = (leg.ispec * (sf * sf - sr * sr)) * leg.clm;
         }
     }
+}
 
-    for (std::size_t i = 0; i < n; ++i) {
-        unsigned bits = 0;
-        for (const MosMonitor& m : mos_) {
-            // Same association as mos_h, reading the per-leg lanes.
-            const auto term = [&](const MosTerm& t) {
-                return t.is_constant ? t.constant : values[t.leg * n + i];
-            };
-            const double diff = term(m.terms[0]) + term(m.terms[1]) -
-                                term(m.terms[2]) - term(m.terms[3]) +
-                                m.offset_current;
-            bits |= (m.orientation * diff > 0.0) ? m.mask : 0u;
-        }
-        out[i] |= bits;
-    }
-    return true;
+std::vector<double> CompiledMonitorBank::x_leg_lanes(std::span<const double> xs,
+                                                     SampleMode mode) const {
+    const std::size_t n = xs.size();
+    // The x half of codes_into's domain check: when codes_into takes the
+    // fast pass, this check passed too, so the lanes it reads are fast.
+    const bool fast =
+        mode == SampleMode::fast_math && fast_domain(xs.data(), n, true);
+    std::vector<double> lanes(n_x_legs_ * n);
+    fill_lanes(0, n_x_legs_, xs.data(), n, fast, lanes.data());
+    return lanes;
 }
 
 void CompiledMonitorBank::codes_into(std::span<const double> xs,
                                      std::span<const double> ys,
                                      std::vector<unsigned>& codes,
-                                     SampleMode mode) const {
+                                     SampleMode mode,
+                                     std::span<const double> x_lanes) const {
     XYSIG_EXPECTS(xs.size() == ys.size());
     XYSIG_EXPECTS(n_monitors_ > 0);
     const std::size_t n = xs.size();
+    XYSIG_EXPECTS(x_lanes.empty() || x_lanes.size() == n_x_legs_ * n);
     codes.assign(n, 0u);
     unsigned* const out = codes.data();
     const double* const px = xs.data();
@@ -267,29 +268,45 @@ void CompiledMonitorBank::codes_into(std::span<const double> xs,
             out[i] |= (a * px[i] + b * py[i] + c > 0.0) ? mask : 0u;
     }
 
-    if (!mos_.empty() && mode == SampleMode::fast_math &&
-        fast_mos_codes(px, py, n, out)) {
-        // EKV sub-bank handled by the batched pass above.
-    } else if (!mos_.empty()) {
-        // One fused pass for the whole MOS sub-bank: evaluate each unique
-        // leg current once, then run every comparator off the shared
-        // values.
-        double leg_values_buf[16];
-        std::vector<double> leg_values_heap;
-        double* leg_values = leg_values_buf;
-        if (legs_.size() > 16) {
-            leg_values_heap.resize(legs_.size());
-            leg_values = leg_values_heap.data();
-        }
+    if (!mos_.empty()) {
+        const bool fast = mode == SampleMode::fast_math && any_ekv_ &&
+                          fast_domain(px, n, true) && fast_domain(py, n, false);
+        // Lanes supplied for fast_math hold fast x currents; the exact
+        // fallback recomputes exact ones rather than mixing modes.
+        const bool supplied =
+            !x_lanes.empty() && (mode == SampleMode::exact || fast);
         const std::size_t n_legs = legs_.size();
+        const std::size_t x_values = supplied ? 0 : n_x_legs_ * n;
+        thread_local std::vector<double> values;
+        values.resize(x_values + (n_legs - n_x_legs_) * n);
+        double* const y_base = values.data() + x_values;
+        if (!supplied)
+            fill_lanes(0, n_x_legs_, px, n, fast, values.data());
+        fill_lanes(n_x_legs_, n_legs, py, n, fast, y_base);
+
+        thread_local std::vector<const double*> lanes;
+        lanes.resize(n_legs);
+        const double* const x_base = supplied ? x_lanes.data() : values.data();
+        for (std::size_t u = 0; u < n_legs; ++u)
+            lanes[u] = u < n_x_legs_ ? x_base + u * n
+                                     : y_base + (u - n_x_legs_) * n;
+
+        // The one comparator loop: every unique leg current is read from
+        // its lane. Same association as MosCurrentBoundary::
+        // current_difference: (((I1 + I2) - I3) - I4) + offset, then the
+        // orientation sign.
+        const double* const* const lane = lanes.data();
         for (std::size_t i = 0; i < n; ++i) {
-            const double x = px[i];
-            const double y = py[i];
-            for (std::size_t u = 0; u < n_legs; ++u)
-                leg_values[u] = leg_value(legs_[u], x, y);
             unsigned bits = 0;
-            for (const MosMonitor& m : mos_)
-                bits |= (mos_h(m, leg_values) > 0.0) ? m.mask : 0u;
+            for (const MosMonitor& m : mos_) {
+                const auto term = [&](const MosTerm& t) {
+                    return t.is_constant ? t.constant : lane[t.leg][i];
+                };
+                const double diff = term(m.terms[0]) + term(m.terms[1]) -
+                                    term(m.terms[2]) - term(m.terms[3]) +
+                                    m.offset_current;
+                bits |= (m.orientation * diff > 0.0) ? m.mask : 0u;
+            }
             out[i] |= bits;
         }
     }
@@ -303,20 +320,10 @@ void CompiledMonitorBank::codes_into(std::span<const double> xs,
 }
 
 unsigned CompiledMonitorBank::code(double x, double y) const {
-    XYSIG_EXPECTS(n_monitors_ > 0);
-    unsigned c = 0;
-    for (const LinearMonitor& m : linear_)
-        c |= (m.a * x + m.b * y + m.c > 0.0) ? m.mask : 0u;
-    if (!mos_.empty()) {
-        std::vector<double> leg_values(legs_.size());
-        for (std::size_t u = 0; u < legs_.size(); ++u)
-            leg_values[u] = leg_value(legs_[u], x, y);
-        for (const MosMonitor& m : mos_)
-            c |= (mos_h(m, leg_values.data()) > 0.0) ? m.mask : 0u;
-    }
-    for (const FallbackMonitor& f : fallback_)
-        c |= f.boundary->side(x, y) ? f.mask : 0u;
-    return c;
+    std::vector<unsigned> codes;
+    codes_into(std::span<const double>(&x, 1), std::span<const double>(&y, 1),
+               codes);
+    return codes[0];
 }
 
 } // namespace xysig::kernels

@@ -3,8 +3,10 @@
 
 #include "core/pipeline.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -68,6 +70,108 @@ TEST(Pipeline, NoiseRequiresRngAndRaisesNdf) {
     const double noisy = pipe.ndf_of(golden, &rng);
     EXPECT_GT(noisy, 0.0);
     EXPECT_LT(noisy, 0.05); // noise floor well under defect signal levels
+}
+
+TEST(Pipeline, NoisyMembersBitIdenticalToVirtualChronogram) {
+    // Noise on x means the member cannot zone from the stimulus x-leg
+    // lanes; it must still give the virtual chronogram() bits, draw for
+    // draw.
+    PipelineOptions opts;
+    opts.noise_sigma = 0.005;
+    opts.samples_per_period = 2048;
+    SignaturePipeline pipe = make_pipeline(opts);
+    const filter::BehaviouralCut golden(paper_biquad());
+    pipe.set_golden(golden);
+    ASSERT_NE(pipe.x_leg_lanes(), nullptr);
+    const capture::Chronogram virtual_golden = pipe.chronogram(golden);
+    NdfScratch scratch;
+    for (const double dev : {-0.1, 0.0, 0.05}) {
+        const filter::BehaviouralCut cut(paper_biquad().with_f0_shift(dev));
+        for (const std::uint64_t seed : {7u, 8u}) {
+            Rng rng_a(seed);
+            Rng rng_b(seed);
+            const SignaturePipeline::CutEvaluation eval =
+                pipe.evaluate(cut, scratch, &rng_a);
+            const capture::Chronogram reference = pipe.chronogram(cut, &rng_b);
+            ASSERT_EQ(eval.observed.events().size(), reference.events().size())
+                << "deviation " << dev << ", seed " << seed;
+            for (std::size_t i = 0; i < reference.events().size(); ++i) {
+                ASSERT_EQ(eval.observed.events()[i].t, reference.events()[i].t);
+                ASSERT_EQ(eval.observed.events()[i].code,
+                          reference.events()[i].code);
+            }
+            ASSERT_EQ(eval.ndf, ndf(reference, virtual_golden))
+                << "deviation " << dev << ", seed " << seed;
+        }
+    }
+}
+
+TEST(Pipeline, XLegLanesAreBuiltOncePerMode) {
+    PipelineOptions opts;
+    opts.samples_per_period = 1024;
+    SignaturePipeline pipe = make_pipeline(opts);
+    const filter::BehaviouralCut golden(paper_biquad());
+    // Not in the constructor: set-up stays as cheap as sampling.
+    EXPECT_EQ(pipe.x_leg_lanes(), nullptr);
+
+    pipe.set_golden(golden);
+    const std::shared_ptr<const std::vector<double>> exact = pipe.x_leg_lanes();
+    ASSERT_NE(exact, nullptr);
+    EXPECT_EQ(*exact, pipe.compiled_bank().x_leg_lanes(*pipe.stimulus_trace(),
+                                                       SampleMode::exact));
+    pipe.set_golden(golden);
+    EXPECT_EQ(pipe.x_leg_lanes().get(), exact.get());
+
+    pipe.set_fast_math(true);
+    EXPECT_EQ(pipe.x_leg_lanes(), nullptr);
+    pipe.set_golden(golden);
+    const std::shared_ptr<const std::vector<double>> fast = pipe.x_leg_lanes();
+    ASSERT_NE(fast, nullptr);
+    EXPECT_NE(fast.get(), exact.get());
+    EXPECT_EQ(*fast, pipe.compiled_bank().x_leg_lanes(*pipe.stimulus_trace(),
+                                                      SampleMode::fast_math));
+
+    pipe.set_fast_math(false);
+    EXPECT_EQ(pipe.x_leg_lanes().get(), exact.get());
+    pipe.set_golden(golden);
+    EXPECT_EQ(pipe.x_leg_lanes().get(), exact.get());
+    pipe.set_fast_math(true);
+    pipe.set_golden(golden);
+    EXPECT_EQ(pipe.x_leg_lanes().get(), fast.get());
+}
+
+TEST(Pipeline, LaneFedMembersMatchFromScratchZoningInBothModes) {
+    // evaluate() zones x_is_stimulus() members from the pipeline's lanes;
+    // zoning the same trace with no lanes must give the same chronogram.
+    for (const bool fast_math : {false, true}) {
+        PipelineOptions opts;
+        opts.samples_per_period = 2048;
+        opts.fast_math = fast_math;
+        SignaturePipeline pipe = make_pipeline(opts);
+        pipe.set_golden(filter::BehaviouralCut(paper_biquad()));
+        const SampleMode mode = fast_math ? SampleMode::fast_math : SampleMode::exact;
+        NdfScratch scratch;
+        for (const double dev : {-0.15, 0.02, 0.1}) {
+            const filter::BehaviouralCut cut(paper_biquad().with_f0_shift(dev));
+            const capture::Chronogram lane_fed = pipe.evaluate(cut, scratch).observed;
+
+            std::vector<double> ys;
+            double dt = 0.0;
+            cut.respond_y_into(pipe.stimulus(), opts.samples_per_period, ys, dt,
+                               mode);
+            std::vector<unsigned> codes;
+            pipe.compiled_bank().codes_into(*pipe.stimulus_trace(), ys, codes,
+                                            mode);
+            std::vector<capture::CodeEvent> events;
+            capture::Chronogram::encode_codes(codes, dt, events);
+            ASSERT_EQ(lane_fed.events().size(), events.size())
+                << "fast_math " << fast_math << ", deviation " << dev;
+            for (std::size_t i = 0; i < events.size(); ++i) {
+                ASSERT_EQ(lane_fed.events()[i].t, events[i].t);
+                ASSERT_EQ(lane_fed.events()[i].code, events[i].code);
+            }
+        }
+    }
 }
 
 TEST(Pipeline, QuantisedChronogramCloseToIdeal) {

@@ -2,14 +2,17 @@
 // mos_id vs mos_evaluate().id, tone-table sampling vs per-sample
 // Waveform::value, compiled zoning vs MonitorBank::code over randomized
 // traces for every boundary type (linear, MOS, mixed banks, fallback), the
-// fused encode_codes path vs encode_events, and the whole pipeline's
-// scratch path vs its virtual chronogram() reference (noise-free, noisy and
+// fused encode_codes path vs encode_events, lane-fed zoning (x_leg_lanes
+// passed back into codes_into) vs from-scratch zoning in both sampling
+// modes and on the fast_math fallback, and the whole pipeline's scratch
+// path vs its virtual chronogram() reference (noise-free, noisy and
 // capture-quantised).
 
 #include "kernels/compiled_monitor_bank.h"
 #include "kernels/compiled_waveform.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -163,6 +166,143 @@ TEST(CompiledMonitorBank, Table1MosBankBitIdentical) {
     // legs deduplicate to 6 unique currents per sample.
     EXPECT_EQ(compiled.unique_leg_count(), 6u);
     expect_codes_identical(bank, xs, ys);
+}
+
+TEST(CompiledMonitorBank, Table1LegsSplitThreeByXThreeByY) {
+    const auto compiled =
+        kernels::CompiledMonitorBank::compile(monitor::build_table1_bank());
+    EXPECT_EQ(compiled.x_leg_count(), 3u);
+    EXPECT_EQ(compiled.y_leg_count(), 3u);
+    Rng rng(47u);
+    std::vector<double> xs;
+    std::vector<double> ys;
+    random_trace(rng, 100, xs, ys);
+    EXPECT_EQ(compiled.x_leg_lanes(xs, SampleMode::exact).size(), 300u);
+    EXPECT_EQ(compiled.x_leg_lanes(xs, SampleMode::fast_math).size(), 300u);
+}
+
+/// Every compiled leg kind next to every other monitor kind: linear
+/// monitors, a fallback circle, Table I EKV rows, a level-1 row (flat
+/// level-1 legs) and a pMOS row (generic legs through spice::mos_id).
+monitor::MonitorBank make_every_kind_bank() {
+    monitor::MonitorBank bank;
+    bank.add(std::make_unique<monitor::LinearBoundary>(1.0, 1.0, -1.0));
+    bank.add(std::make_unique<monitor::MosCurrentBoundary>(monitor::table1_config(1)));
+    bank.add(std::make_unique<CircleBoundary>(0.7, 0.7, 0.2));
+    bank.add(std::make_unique<monitor::MosCurrentBoundary>(monitor::table1_config(3)));
+    monitor::MonitorConfig level1 = monitor::table1_config(5);
+    level1.device.model = spice::MosModel::level1;
+    bank.add(std::make_unique<monitor::MosCurrentBoundary>(level1));
+    monitor::MonitorConfig pmos = monitor::table1_config(4);
+    pmos.device.type = spice::MosType::pmos;
+    bank.add(std::make_unique<monitor::MosCurrentBoundary>(pmos));
+    bank.add(std::make_unique<monitor::LinearBoundary>(-1.0, 2.0, -0.4));
+    return bank;
+}
+
+/// Codes from supplied x lanes, codes from scratch, and (when `exact` is
+/// true) MonitorBank::code agree at every sample.
+void expect_lane_fed_codes(const monitor::MonitorBank& bank,
+                           const std::vector<double>& xs,
+                           const std::vector<double>& ys, SampleMode mode,
+                           bool exact) {
+    const auto compiled = kernels::CompiledMonitorBank::compile(bank);
+    const std::vector<double> lanes = compiled.x_leg_lanes(xs, mode);
+    ASSERT_EQ(lanes.size(), compiled.x_leg_count() * xs.size());
+    std::vector<unsigned> plain;
+    std::vector<unsigned> fed;
+    compiled.codes_into(xs, ys, plain, mode);
+    compiled.codes_into(xs, ys, fed, mode, lanes);
+    ASSERT_EQ(plain.size(), xs.size());
+    ASSERT_EQ(fed.size(), xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        ASSERT_EQ(fed[i], plain[i]) << "sample " << i;
+        if (exact)
+            ASSERT_EQ(plain[i], bank.code(xs[i], ys[i]))
+                << "sample " << i << " at (" << xs[i] << ", " << ys[i] << ")";
+    }
+}
+
+TEST(CompiledMonitorBank, LaneFedCodesBitIdenticalExact) {
+    Rng rng(48u);
+    std::vector<double> xs;
+    std::vector<double> ys;
+    // 2047: not a multiple of any SIMD width.
+    random_trace(rng, 2047, xs, ys);
+    expect_lane_fed_codes(monitor::build_table1_bank(), xs, ys,
+                          SampleMode::exact, true);
+    expect_lane_fed_codes(make_every_kind_bank(), xs, ys, SampleMode::exact,
+                          true);
+}
+
+TEST(CompiledMonitorBank, LaneFedCodesBitIdenticalFastMath) {
+    Rng rng(49u);
+    std::vector<double> xs;
+    std::vector<double> ys;
+    random_trace(rng, 1001, xs, ys);
+    for (const monitor::MonitorBank& bank :
+         {monitor::build_table1_bank(), make_every_kind_bank()}) {
+        expect_lane_fed_codes(bank, xs, ys, SampleMode::fast_math, false);
+        // The fast lanes really are the softplus batch: close to the exact
+        // currents, not equal to them everywhere.
+        const auto compiled = kernels::CompiledMonitorBank::compile(bank);
+        const std::vector<double> exact = compiled.x_leg_lanes(xs, SampleMode::exact);
+        const std::vector<double> fast =
+            compiled.x_leg_lanes(xs, SampleMode::fast_math);
+        ASSERT_EQ(exact.size(), fast.size());
+        std::size_t differing = 0;
+        for (std::size_t i = 0; i < exact.size(); ++i) {
+            ASSERT_NEAR(fast[i], exact[i], 1e-12 * std::fabs(exact[i]) + 1e-30)
+                << "lane value " << i;
+            differing += fast[i] != exact[i] ? 1u : 0u;
+        }
+        EXPECT_GT(differing, 0u);
+    }
+}
+
+TEST(CompiledMonitorBank, FastMathYExcursionFallsBackToExactXLanes) {
+    // A y excursion outside the vecmath domain sends the whole MOS pass to
+    // the exact lanes. The x lanes supplied for fast_math must not be read
+    // then: the codes equal MonitorBank::code at every sample, even when
+    // the supplied lanes are poisoned.
+    for (const double excursion :
+         {1e301, std::numeric_limits<double>::quiet_NaN()}) {
+        Rng rng(50u);
+        std::vector<double> xs;
+        std::vector<double> ys;
+        random_trace(rng, 1001, xs, ys);
+        ys[500] = excursion;
+        for (const monitor::MonitorBank& bank :
+             {monitor::build_table1_bank(), make_every_kind_bank()}) {
+            expect_lane_fed_codes(bank, xs, ys, SampleMode::fast_math, true);
+            const auto compiled = kernels::CompiledMonitorBank::compile(bank);
+            const std::vector<double> poisoned(
+                compiled.x_leg_count() * xs.size(),
+                std::numeric_limits<double>::quiet_NaN());
+            std::vector<unsigned> codes;
+            compiled.codes_into(xs, ys, codes, SampleMode::fast_math, poisoned);
+            for (std::size_t i = 0; i < xs.size(); ++i)
+                ASSERT_EQ(codes[i], bank.code(xs[i], ys[i]))
+                    << "sample " << i << ", excursion " << excursion;
+        }
+    }
+}
+
+TEST(CompiledMonitorBank, SuppliedLanesAreRead) {
+    // The lane path is live: the same poisoned lanes in exact mode (no
+    // fallback) change the codes of the x-driven monitors.
+    Rng rng(51u);
+    std::vector<double> xs;
+    std::vector<double> ys;
+    random_trace(rng, 512, xs, ys);
+    const auto bank = monitor::build_table1_bank();
+    const auto compiled = kernels::CompiledMonitorBank::compile(bank);
+    const std::vector<double> poisoned(compiled.x_leg_count() * xs.size(), 1.0);
+    std::vector<unsigned> plain;
+    std::vector<unsigned> fed;
+    compiled.codes_into(xs, ys, plain);
+    compiled.codes_into(xs, ys, fed, SampleMode::exact, poisoned);
+    EXPECT_NE(fed, plain);
 }
 
 TEST(CompiledMonitorBank, PerturbedMosMonitorsBitIdentical) {
