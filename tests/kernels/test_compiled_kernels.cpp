@@ -64,15 +64,28 @@ void random_trace(Rng& rng, std::size_t n, std::vector<double>& xs,
     }
 }
 
+/// Codes from scratch and codes fed with x_leg_lanes(xs, mode) agree at
+/// every sample; when `vs_virtual` is set both also equal
+/// MonitorBank::code and the single-point CompiledMonitorBank::code.
 void expect_codes_identical(const monitor::MonitorBank& bank,
                             const std::vector<double>& xs,
-                            const std::vector<double>& ys) {
+                            const std::vector<double>& ys,
+                            SampleMode mode = SampleMode::exact,
+                            bool vs_virtual = true) {
     const auto compiled = kernels::CompiledMonitorBank::compile(bank);
     ASSERT_EQ(compiled.size(), bank.size());
+    const std::vector<double> lanes = compiled.x_leg_lanes(xs, mode);
+    ASSERT_EQ(lanes.size(), compiled.x_leg_count() * xs.size());
     std::vector<unsigned> codes;
-    compiled.codes_into(xs, ys, codes);
+    std::vector<unsigned> fed;
+    compiled.codes_into(xs, ys, codes, mode);
+    compiled.codes_into(xs, ys, fed, mode, lanes);
     ASSERT_EQ(codes.size(), xs.size());
+    ASSERT_EQ(fed.size(), xs.size());
     for (std::size_t i = 0; i < xs.size(); ++i) {
+        ASSERT_EQ(fed[i], codes[i]) << "sample " << i;
+        if (!vs_virtual)
+            continue;
         ASSERT_EQ(codes[i], bank.code(xs[i], ys[i]))
             << "sample " << i << " at (" << xs[i] << ", " << ys[i] << ")";
         ASSERT_EQ(compiled.code(xs[i], ys[i]), codes[i]) << "sample " << i;
@@ -173,12 +186,6 @@ TEST(CompiledMonitorBank, Table1LegsSplitThreeByXThreeByY) {
         kernels::CompiledMonitorBank::compile(monitor::build_table1_bank());
     EXPECT_EQ(compiled.x_leg_count(), 3u);
     EXPECT_EQ(compiled.y_leg_count(), 3u);
-    Rng rng(47u);
-    std::vector<double> xs;
-    std::vector<double> ys;
-    random_trace(rng, 100, xs, ys);
-    EXPECT_EQ(compiled.x_leg_lanes(xs, SampleMode::exact).size(), 300u);
-    EXPECT_EQ(compiled.x_leg_lanes(xs, SampleMode::fast_math).size(), 300u);
 }
 
 /// Every compiled leg kind next to every other monitor kind: linear
@@ -200,39 +207,13 @@ monitor::MonitorBank make_every_kind_bank() {
     return bank;
 }
 
-/// Codes from supplied x lanes, codes from scratch, and (when `exact` is
-/// true) MonitorBank::code agree at every sample.
-void expect_lane_fed_codes(const monitor::MonitorBank& bank,
-                           const std::vector<double>& xs,
-                           const std::vector<double>& ys, SampleMode mode,
-                           bool exact) {
-    const auto compiled = kernels::CompiledMonitorBank::compile(bank);
-    const std::vector<double> lanes = compiled.x_leg_lanes(xs, mode);
-    ASSERT_EQ(lanes.size(), compiled.x_leg_count() * xs.size());
-    std::vector<unsigned> plain;
-    std::vector<unsigned> fed;
-    compiled.codes_into(xs, ys, plain, mode);
-    compiled.codes_into(xs, ys, fed, mode, lanes);
-    ASSERT_EQ(plain.size(), xs.size());
-    ASSERT_EQ(fed.size(), xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        ASSERT_EQ(fed[i], plain[i]) << "sample " << i;
-        if (exact)
-            ASSERT_EQ(plain[i], bank.code(xs[i], ys[i]))
-                << "sample " << i << " at (" << xs[i] << ", " << ys[i] << ")";
-    }
-}
-
-TEST(CompiledMonitorBank, LaneFedCodesBitIdenticalExact) {
+TEST(CompiledMonitorBank, EveryLegKindBitIdentical) {
     Rng rng(48u);
     std::vector<double> xs;
     std::vector<double> ys;
     // 2047: not a multiple of any SIMD width.
     random_trace(rng, 2047, xs, ys);
-    expect_lane_fed_codes(monitor::build_table1_bank(), xs, ys,
-                          SampleMode::exact, true);
-    expect_lane_fed_codes(make_every_kind_bank(), xs, ys, SampleMode::exact,
-                          true);
+    expect_codes_identical(make_every_kind_bank(), xs, ys);
 }
 
 TEST(CompiledMonitorBank, LaneFedCodesBitIdenticalFastMath) {
@@ -242,7 +223,7 @@ TEST(CompiledMonitorBank, LaneFedCodesBitIdenticalFastMath) {
     random_trace(rng, 1001, xs, ys);
     for (const monitor::MonitorBank& bank :
          {monitor::build_table1_bank(), make_every_kind_bank()}) {
-        expect_lane_fed_codes(bank, xs, ys, SampleMode::fast_math, false);
+        expect_codes_identical(bank, xs, ys, SampleMode::fast_math, false);
         // The fast lanes really are the softplus batch: close to the exact
         // currents, not equal to them everywhere.
         const auto compiled = kernels::CompiledMonitorBank::compile(bank);
@@ -274,7 +255,7 @@ TEST(CompiledMonitorBank, FastMathYExcursionFallsBackToExactXLanes) {
         ys[500] = excursion;
         for (const monitor::MonitorBank& bank :
              {monitor::build_table1_bank(), make_every_kind_bank()}) {
-            expect_lane_fed_codes(bank, xs, ys, SampleMode::fast_math, true);
+            expect_codes_identical(bank, xs, ys, SampleMode::fast_math);
             const auto compiled = kernels::CompiledMonitorBank::compile(bank);
             const std::vector<double> poisoned(
                 compiled.x_leg_count() * xs.size(),
